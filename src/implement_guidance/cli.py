@@ -14,14 +14,12 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .controllers import OptimalParams
 from .errors import GuidanceError, ScenarioError
 from .harness import (
     NoiseSpec,
     Scenario,
     initial_lateral_for_error,
     run_and_summarize,
-    summarize,
     write_csv,
 )
 from .paths import build_experiment_path
@@ -52,17 +50,6 @@ def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _default_scenario(preset: str, seed: int, noise: bool) -> Scenario:
-    path = build_experiment_path(preset)
-    imp, params = TABLE1[("optimal", "rear")]
-    return Scenario(
-        path=path, vehicle=VehicleConfig(), implement=imp,
-        method="optimal", params=params,
-        run_length=math.floor(path.total_length - 1.0),
-        initial_y=initial_lateral_for_error(0.5, imp),
-        seed=seed, noise=NoiseSpec(enabled=noise))
 
 
 def cmd_run(args) -> int:

@@ -172,13 +172,19 @@ def _steer_from_gamma(gamma: float, curvature: float, theta_tilde: float,
 
 
 def optimal_control_step(meas: Measurements, params: OptimalParams,
-                         imp: ImplementConfig, cfg: VehicleConfig) -> ControlCommand:
-    """Two-stage optimal predictive step: closed-form desired heading, then steering."""
+                         imp: ImplementConfig, cfg: VehicleConfig,
+                         sigma: SigmaTerms | None = None) -> ControlCommand:
+    """Two-stage optimal predictive step: closed-form desired heading, then steering.
+
+    sigma is sigma_terms(params), a pure function of the parameters: callers
+    that step repeatedly pass it in; without it, it is computed here.
+    """
     alpha, gamma = alpha_gamma(meas, cfg.speed)
     th = meas.frenet.theta_tilde
     steer_now = _steer_from_gamma(gamma, meas.curvature_now, th, alpha, cfg.wheelbase)
     e2 = e_I_second(th, alpha, steer_now, meas.curvature_at_horizon, cfg.wheelbase)
-    sigma = sigma_terms(params)
+    if sigma is None:
+        sigma = sigma_terms(params)
     xi_d = xi_optimal(meas.e_I, alpha, gamma, imp, e2, sigma)
     theta_d = desired_heading(xi_d, alpha, gamma, imp)
     delta, clamped = steering_command(th, theta_d, meas.curvature_now, meas.frenet.y,
@@ -187,8 +193,7 @@ def optimal_control_step(meas: Measurements, params: OptimalParams,
     return ControlCommand(
         delta_desired=delta, theta_desired=theta_d, xi_desired=xi_d, clamped=clamped,
         diagnostics={"e_I": meas.e_I, "e_I_prime": e1, "e_I_second": e2,
-                     "alpha": alpha, "gamma": gamma, "n_h": params.n_h,
-                     "J_residual": predicted_cost(xi_d, meas.e_I, alpha, gamma, imp, e2, params)},
+                     "alpha": alpha, "gamma": gamma, "n_h": params.n_h},
     )
 
 
@@ -261,9 +266,10 @@ class OptimalController(Controller):
         # The horizon starts at the leading point of the robot-implement pair:
         # a front implement crosses a junction I_s before the robot does.
         self.horizon = params.s_h + max(imp.I_s, 0.0)
+        self.sigma = sigma_terms(params)
 
     def _compute(self, meas):
-        return optimal_control_step(meas, self.params, self.imp, self.cfg)
+        return optimal_control_step(meas, self.params, self.imp, self.cfg, self.sigma)
 
 
 class BacksteppingController(Controller):

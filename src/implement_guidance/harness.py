@@ -65,6 +65,8 @@ class Scenario:
     def __post_init__(self):
         if self.run_length > self.path.total_length:
             raise ParameterError("run_length exceeds path total_length")
+        if not self.dt > 0:
+            raise ParameterError("dt must be > 0")
         ratio = self.control_period / self.dt
         if self.control_period < self.dt or abs(ratio - round(ratio)) > 1e-9:
             raise ParameterError("control_period must be an integer multiple of dt")

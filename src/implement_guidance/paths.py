@@ -8,12 +8,17 @@ junctions; a junction abscissa belongs to the later segment.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import PathConstructionError, RangeError
 
 _G1_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
+# Slack on the pruning cut in `project`: far above the float error of a
+# bound or a distance (~1e-13 m at field scale), so no segment that could
+# enter the 1e-9 tie set is ever pruned.
+_PRUNE_SLACK = 1e-6
 
 
 def wrap_angle(a: float) -> float:
@@ -37,6 +42,10 @@ class PathSegment:
     def __post_init__(self):
         if self.kind not in ("line", "arc"):
             raise PathConstructionError(f"unknown segment kind {self.kind!r}")
+        if not all(map(math.isfinite, (*self.start, self.start_heading, self.length,
+                                       self.curvature))):
+            raise PathConstructionError("segment start, heading, length and curvature "
+                                        "must be finite")
         if not self.length > 0:
             raise PathConstructionError(f"segment length must be > 0, got {self.length}")
         if self.kind == "line" and self.curvature != 0.0:
@@ -88,6 +97,10 @@ class ReferencePath:
     segments: tuple[PathSegment, ...]
     cumulative_lengths: tuple[float, ...] = field(init=False)
     labels: tuple[str, ...] = field(init=False)
+    # per segment: (midpoint x, midpoint y, length / 2); every point of a line
+    # or arc lies within half its length of its midpoint (chord <= arc)
+    _bounds: tuple[tuple[float, float, float], ...] = field(init=False, repr=False,
+                                                            compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -114,6 +127,8 @@ class ReferencePath:
                 labels.append(f"C{n_arc}")
         object.__setattr__(self, "cumulative_lengths", tuple(cum))
         object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "_bounds", tuple(
+            seg.point_at(seg.length / 2)[:2] + (seg.length / 2,) for seg in self.segments))
 
     @property
     def total_length(self) -> float:
@@ -123,10 +138,7 @@ class ReferencePath:
         """Index of the segment containing s; a junction belongs to the later segment."""
         if s < 0.0 or s > self.total_length:
             raise RangeError(f"s={s} outside [0, {self.total_length}]")
-        for i, c in enumerate(self.cumulative_lengths):
-            if s < c:
-                return i
-        return len(self.segments) - 1
+        return min(bisect_right(self.cumulative_lengths, s), len(self.segments) - 1)
 
     def segment_label(self, s: float) -> str:
         return self.labels[self.segment_index(s)]
@@ -160,16 +172,20 @@ class ReferencePath:
         Returns the Frenet state at the global distance minimizer; ties break
         to the smallest s (flagged ambiguous); positions beyond the path ends
         clamp s to [0, total_length] (flagged clamped).
+
+        Only segments that can hold the minimizer are evaluated exactly: a
+        segment's distance is at least |p - midpoint| - length/2, so one whose
+        bound exceeds the exact distance to the segment with the smallest
+        bound (plus slack) is farther than the minimizer and cannot join the
+        tie set. The result equals that of a scan over every segment.
         """
         px, py = position
-        candidates = []  # (distance, s, clamped)
-        s0 = 0.0
-        for seg in self.segments:
-            u, clamped = _project_segment(seg, px, py)
-            x, y, _ = seg.point_at(u)
-            d = math.hypot(px - x, py - y)
-            candidates.append((d, s0 + u, clamped))
-            s0 += seg.length
+        bounds = [math.hypot(px - mx, py - my) - half for mx, my, half in self._bounds]
+        first = bounds.index(min(bounds))
+        nearest = self._candidate(first, px, py)
+        cut = nearest[0] + _PRUNE_SLACK
+        candidates = [nearest if i == first else self._candidate(i, px, py)
+                      for i, b in enumerate(bounds) if b <= cut or i == first]
         d_best = min(c[0] for c in candidates)
         near = [c for c in candidates if c[0] <= d_best + 1e-9]
         near.sort(key=lambda c: c[1])
@@ -187,6 +203,15 @@ class ReferencePath:
             clamped=clamped,
             ambiguous=ambiguous,
         )
+
+    def _candidate(self, i: int, px: float, py: float) -> tuple[float, float, bool]:
+        """(distance, s, clamped) of the closest point on segment i."""
+        seg = self.segments[i]
+        u, clamped = _project_segment(seg, px, py)
+        x, y, _ = seg.point_at(u)
+        # cumulative start + u: the same float as a running sum of lengths
+        s0 = self.cumulative_lengths[i - 1] if i > 0 else 0.0
+        return math.hypot(px - x, py - y), s0 + u, clamped
 
 
 def _project_segment(seg: PathSegment, px: float, py: float) -> tuple[float, bool]:

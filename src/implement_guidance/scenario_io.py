@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .controllers import BaselineParams, OptimalParams
-from .errors import GuidanceError, ScenarioError
+from .errors import GuidanceError, ParameterError, ScenarioError
 from .harness import NoiseSpec, Scenario, initial_lateral_for_error
 from .paths import PRESET_DESCRIPTORS, build_path
 from .presets import TABLE1, TABLE2
@@ -31,6 +31,17 @@ _BLOCK_KEYS = {
 }
 
 _SEGMENT_KEYS = {"kind", "length_m", "curvature_per_m"}
+
+
+class _Value(str):
+    """A value as written in the file, with the line it was read from."""
+
+    line: int
+
+    def __new__(cls, text: str, line: int):
+        value = super().__new__(cls, text)
+        value.line = line
+        return value
 
 
 def parse_blocks(text: str) -> dict:
@@ -61,7 +72,7 @@ def parse_blocks(text: str) -> dict:
             raise ScenarioError(f"line {lineno}: unknown key {key!r} in block [{current}]")
         if not value:
             raise ScenarioError(f"line {lineno}: key {key!r} has no value")
-        blocks[current].append((key, value))
+        blocks[current].append((key, _Value(value, lineno)))
     if not version_seen:
         raise ScenarioError("missing format_version")
     return blocks
@@ -74,29 +85,54 @@ def _scalars(pairs: list[tuple[str, str]]) -> dict:
             out.setdefault("segment", []).append(v)
         else:
             if k in out:
-                raise ScenarioError(f"duplicate key {k!r}")
+                raise ScenarioError(f"line {v.line}: duplicate key {k!r}")
             out[k] = v
     return out
+
+
+def _float(text: str, what: str, line: int) -> float:
+    """A finite float, or a line-numbered ScenarioError."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise ScenarioError(f"line {line}: {what}: not a number: {text!r}") from None
+    if not math.isfinite(x):
+        raise ScenarioError(f"line {line}: {what}: must be finite, got {text!r}")
+    return x
 
 
 def _num(d: dict, key: str, default: float) -> float:
     if key not in d:
         return default
-    try:
-        return float(d[key])
-    except ValueError:
-        raise ScenarioError(f"key {key!r}: not a number: {d[key]!r}") from None
+    return _float(d[key], f"key {key!r}", d[key].line)
 
 
-def _parse_segment(spec: str) -> dict:
+def _positive(d: dict, key: str, default: float) -> float:
+    x = _num(d, key, default)
+    if not x > 0:
+        raise ScenarioError(f"line {d[key].line}: key {key!r}: must be > 0, got {d[key]!r}")
+    return x
+
+
+def _seed(d: dict) -> int:
+    if "seed" not in d:
+        return 0
+    text = d["seed"]
+    if not (text.isascii() and text.isdigit()):
+        raise ScenarioError(f"line {text.line}: key 'seed': must be a non-negative "
+                            f"integer, got {text!r}")
+    return int(text)
+
+
+def _parse_segment(spec: _Value) -> dict:
     desc = {}
     for item in spec.split():
         k, _, v = item.partition("=")
         if k not in _SEGMENT_KEYS:
-            raise ScenarioError(f"segment: unknown field {k!r}")
-        desc[k] = v if k == "kind" else float(v)
+            raise ScenarioError(f"line {spec.line}: segment: unknown field {k!r}")
+        desc[k] = v if k == "kind" else _float(v, f"segment field {k!r}", spec.line)
     if "kind" not in desc or "length_m" not in desc:
-        raise ScenarioError("segment needs kind and length_m")
+        raise ScenarioError(f"line {spec.line}: segment needs kind and length_m")
     return desc
 
 
@@ -162,7 +198,7 @@ def _build_controller(d: dict):
             params = BaselineParams(
                 k_y=_num(d, "k_y_per_m", defaults.get("k_y_per_m", 0.2)),
                 k_theta=_num(d, "k_theta_per_m", defaults.get("k_theta_per_m", 0.6)))
-    except GuidanceError as exc:
+    except ParameterError as exc:
         raise ScenarioError(f"[controller]: {exc}") from exc
     return method, params, preset_imp
 
@@ -179,7 +215,7 @@ def parse_scenario(text: str, seed_override: int | None = None,
             steer_limit=_num(v, "steer_limit_rad", 0.55),
             steer_rate_limit=_num(v, "steer_rate_limit_rad_s", 0.8),
             speed=_num(v, "speed_m_s", 1.0))
-    except GuidanceError as exc:
+    except ParameterError as exc:
         raise ScenarioError(f"[vehicle]: {exc}") from exc
     c = _scalars(blocks.get("controller", []))
     method, params, preset_imp = _build_controller(c)
@@ -204,19 +240,19 @@ def parse_scenario(text: str, seed_override: int | None = None,
         y_std=_num(n, "y_std_m", 0.01),
         theta_std=_num(n, "theta_std_rad", 0.005),
         omega_std=_num(n, "omega_std_rad_s", 0.01))
-    seed = int(_num(r, "seed", 0)) if seed_override is None else seed_override
+    seed = _seed(r) if seed_override is None else seed_override
     try:
         return Scenario(
             path=path, vehicle=vehicle, implement=implement,
             method=method, params=params,
             run_length=_num(r, "length_m", path.total_length - 1.0),
-            dt=_num(r, "dt_s", 0.01),
-            control_period=_num(r, "control_period_s", 0.1),
+            dt=_positive(r, "dt_s", 0.01),
+            control_period=_positive(r, "control_period_s", 0.1),
             initial_s=_num(r, "initial_s_m", 0.0),
             initial_y=initial_y,
             initial_theta=_num(r, "initial_theta_rad", 0.0),
             seed=seed, noise=noise)
-    except GuidanceError as exc:
+    except ParameterError as exc:
         raise ScenarioError(f"[run]: {exc}") from exc
 
 

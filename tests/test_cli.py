@@ -137,3 +137,19 @@ def test_shipped_scenarios_validate(tmp_path, capsys):
     for scn in sorted(SCENARIOS.glob("*.scn")):
         assert main(["validate", str(scn)]) == 0, scn.name
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("body, line", [
+    ("[path]\nsegment kind=line length_m=abc\n", 3),
+    ("[path]\nsegment kind=line length_m=inf\n", 3),
+    ("[path]\npreset exp1\n[run]\ndt_s 0\n", 5),
+    ("[path]\npreset exp1\n[run]\nlength_m nan\n", 5),
+    ("[path]\npreset exp1\n[run]\nseed 1.7\n", 5),
+], ids=["segment_not_a_number", "segment_infinite", "dt_zero", "run_length_nan",
+        "seed_not_integer"])
+def test_bad_value_exits_2_with_line(tmp_path, capsys, body, line):
+    p = tmp_path / "bad.scn"
+    p.write_text("format_version 1\n" + body)
+    for command in (["validate", str(p)], ["--out-dir", str(tmp_path / "o"), "run", str(p)]):
+        assert main(command) == 2
+        assert f"scenario error: line {line}:" in capsys.readouterr().err

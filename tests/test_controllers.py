@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from implement_guidance import controllers
 from implement_guidance.controllers import (
     BacksteppingController,
     BaselineParams,
@@ -330,6 +331,28 @@ def test_optimal_command_always_within_limits():
         cmd = ctrl.step(m)
         assert abs(cmd.delta_desired) <= CFG.steer_limit
         assert math.isfinite(cmd.delta_desired)
+
+
+def test_optimal_controller_computes_sigma_once_and_steps_exactly(monkeypatch):
+    calls = []
+
+    def counted_sigma_terms(params):
+        calls.append(params)
+        return sigma_terms(params)
+    monkeypatch.setattr(controllers, "sigma_terms", counted_sigma_terms)
+    rng = np.random.default_rng(5)
+    for imp, params in (TABLE1[("optimal", "rear")], TABLE1[("optimal", "front")]):
+        ctrl = OptimalController(params, imp, CFG)
+        for _ in range(50):
+            m = meas_of(y=rng.uniform(-1, 1), theta=rng.uniform(-1.0, 1.0),
+                        omega=rng.uniform(-0.5, 0.5), c_now=rng.uniform(-0.2, 0.2),
+                        c_hor=rng.uniform(-0.2, 0.2), imp=imp)
+            cmd = ctrl.step(m)
+            assert not cmd.fault
+            # the same command, diagnostics included, as with sigma computed fresh
+            assert cmd == optimal_control_step(m, params, imp, CFG)
+    # once per controller; the 100 fresh calls above add one each
+    assert len(calls) == 2 + 100
 
 
 # ------------------------------------------------------------------ baselines

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from implement_guidance.errors import PathConstructionError, RangeError
 from implement_guidance.paths import (
+    FrenetState,
     PathSegment,
+    Projection,
     ReferencePath,
+    _project_segment,
     build_experiment_path,
     build_path,
     wrap_angle,
@@ -275,3 +278,122 @@ def test_cumulative_lengths_strictly_increasing():
     assert all(b > a for a, b in zip(cl, cl[1:]))
     assert abs(path.total_length - sum(s.length for s in path.segments)) < 1e-12
     assert path.junctions() == cl[:-1]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("length", math.inf), ("length", math.nan), ("curvature", math.nan),
+    ("curvature", math.inf), ("start_heading", math.nan), ("start", (math.inf, 0.0)),
+    ("start", (0.0, math.nan)),
+])
+def test_segment_rejects_non_finite_geometry(field, value):
+    kwargs = dict(kind="arc", start=(0.0, 0.0), start_heading=0.0, length=1.0,
+                  curvature=0.1)
+    kwargs[field] = value
+    with pytest.raises(PathConstructionError, match="finite"):
+        PathSegment(**kwargs)
+
+
+# ------------------------------------------- pruned projection vs full scan
+
+def _full_scan_segment_index(path, s):
+    for i, c in enumerate(path.cumulative_lengths):
+        if s < c:
+            return i
+    return len(path.segments) - 1
+
+
+def _full_scan_project(path, position, heading):
+    """Reference: every segment evaluated exactly, as a running sum of lengths."""
+    px, py = position
+    candidates = []  # (distance, s, clamped)
+    s0 = 0.0
+    for seg in path.segments:
+        u, clamped = _project_segment(seg, px, py)
+        x, y, _ = seg.point_at(u)
+        candidates.append((math.hypot(px - x, py - y), s0 + u, clamped))
+        s0 += seg.length
+    d_best = min(c[0] for c in candidates)
+    near = sorted((c for c in candidates if c[0] <= d_best + 1e-9), key=lambda c: c[1])
+    _, s_best, clamp_best = near[0]
+    ambiguous = any(abs(c[1] - s_best) > 1e-6 for c in near[1:])
+    clamped = clamp_best and (s_best <= 1e-12 or s_best >= path.total_length - 1e-12)
+    s_best = min(s_best, path.total_length)
+    i = _full_scan_segment_index(path, s_best)
+    u = s_best - (path.cumulative_lengths[i - 1] if i > 0 else 0.0)
+    qx, qy, th = path.segments[i].point_at(u)
+    y_signed = -(px - qx) * math.sin(th) + (py - qy) * math.cos(th)
+    return Projection(frenet=FrenetState(s=s_best, y=y_signed,
+                                         theta_tilde=wrap_angle(heading - th)),
+                      clamped=clamped, ambiguous=ambiguous)
+
+
+def serpentine(rows, row, radius, start=(0.0, 0.0), start_heading=0.0):
+    """Rows joined by alternating 180-degree headland arcs: rows 2*radius apart."""
+    descriptors = []
+    for i in range(rows):
+        descriptors.append({"kind": "line", "length_m": row})
+        if i < rows - 1:
+            descriptors.append({"kind": "arc", "length_m": math.pi * radius,
+                                "curvature_per_m": (1.0 if i % 2 == 0 else -1.0) / radius})
+    return build_path(descriptors, start=start, start_heading=start_heading)
+
+
+# axis-aligned (exact ties between rows) and rotated with uneven dimensions
+SERPENTINES = (serpentine(8, 20.0, 3.0),
+               serpentine(7, 17.3, 2.93, start=(4.1, -2.6), start_heading=0.7))
+
+
+def _offset_point(path, s, d):
+    """Point d to the left of the path at s; beyond an end, along the end tangent."""
+    s_on = min(max(s, 0.0), path.total_length)
+    (x, y), h, _ = path.point_at(s_on)
+    x += (s - s_on) * math.cos(h)
+    y += (s - s_on) * math.sin(h)
+    return x - d * math.sin(h), y + d * math.cos(h), h
+
+
+def _assert_same_projection(path, px, py, heading):
+    assert path.project((px, py), heading) == _full_scan_project(path, (px, py), heading)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SERPENTINES), st.floats(-0.05, 1.05), st.floats(-4.0, 4.0),
+       st.floats(-math.pi, math.pi))
+def test_project_equals_full_scan_near_the_path(path, frac, d, heading):
+    # frac beyond [0, 1] puts the point past either end (clamped)
+    px, py, _ = _offset_point(path, frac * path.total_length, d)
+    _assert_same_projection(path, px, py, heading)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SERPENTINES), st.integers(0, 5), st.floats(0.0, 1.0))
+def test_project_equals_full_scan_between_rows(path, k, frac):
+    # midway between row k and row k + 1: equidistant from both (ambiguous)
+    row = path.segments[2 * k]
+    u = frac * row.length
+    px, py, h = row.point_at(u)
+    spacing = 2.0 / abs(path.segments[2 * k + 1].curvature)
+    px, py = px - spacing / 2 * math.sin(h), py + spacing / 2 * math.cos(h)
+    _assert_same_projection(path, px, py, h)
+    assert path.project((px, py), h).ambiguous
+
+
+def test_project_equals_full_scan_at_junctions_and_ends():
+    for path in SERPENTINES:
+        points = [_offset_point(path, s + ds, d)
+                  for s in (0.0, *path.cumulative_lengths)
+                  for ds in (-1e-7, 0.0, 1e-7, -2.0, 2.0)
+                  for d in (-4.0, -1e-9, 0.0, 1e-9, 2.0, 4.0)]
+        # headland arc centers are equidistant from a whole arc
+        points += [(*seg.center(), 0.0) for seg in path.segments[1::2]]
+        projections = [path.project((px, py), h) for px, py, h in points]
+        for (px, py, h), p in zip(points, projections):
+            assert p == _full_scan_project(path, (px, py), h)
+        assert any(p.clamped for p in projections)
+        assert any(p.ambiguous for p in projections)
+
+
+@given(st.sampled_from(SERPENTINES), st.floats(0.0, 1.0))
+def test_segment_index_equals_linear_scan(path, frac):
+    for s in (frac * path.total_length, *path.cumulative_lengths, 0.0):
+        assert path.segment_index(s) == _full_scan_segment_index(path, s)
