@@ -200,6 +200,12 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _non_negative_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _noise_flag(args):
     if args.noise is None:
         return None
@@ -214,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default=None,
                         help=f"output directory (default: ${OUT_DIR_ENV} or ./out)")
     parser.add_argument("--jobs", type=int, default=1, help="parallel runs for sweeps/comparisons")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    parser.add_argument("--seed", type=_non_negative_int, default=None,
+                        help="override the scenario seed")
     parser.add_argument("--noise", choices=["on", "off"], default=None,
                         help="override the scenario noise switch")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -190,7 +190,8 @@ def run_scenario(scn: Scenario) -> RunLog:
 def _append(log, t, pose, frenet, scn, path, delta_cmd, theta_d, fault):
     log.records.append(LogRecord(
         t=t, s=frenet.s, y=frenet.y, theta_tilde=frenet.theta_tilde,
-        e_I_exact=implement_error_exact(pose, scn.implement, path),
+        e_I_exact=implement_error_exact(pose, scn.implement, path,
+                                        frenet.s + scn.implement.I_s),
         e_I_measured=implement_error_measured(frenet, scn.implement),
         delta_cmd=delta_cmd, delta_actual=pose.steer, theta_d=theta_d,
         segment=path.segment_label(min(frenet.s, path.total_length)),

@@ -19,6 +19,8 @@ _TWO_PI = 2.0 * math.pi
 # bound or a distance (~1e-13 m at field scale), so no segment that could
 # enter the 1e-9 tie set is ever pruned.
 _PRUNE_SLACK = 1e-6
+# Padding on a segment's bounding box: covers the float error of `point_at`.
+_BOX_PAD = 1e-9
 
 
 def wrap_angle(a: float) -> float:
@@ -101,6 +103,9 @@ class ReferencePath:
     # or arc lies within half its length of its midpoint (chord <= arc)
     _bounds: tuple[tuple[float, float, float], ...] = field(init=False, repr=False,
                                                             compare=False)
+    # per segment k: a lower bound on the distance from k to every segment j
+    # with |j - k| >= 2 (gap between bounding boxes); inf when there is none
+    _clearance: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -129,6 +134,7 @@ class ReferencePath:
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "_bounds", tuple(
             seg.point_at(seg.length / 2)[:2] + (seg.length / 2,) for seg in self.segments))
+        object.__setattr__(self, "_clearance", _clearances(self.segments))
 
     @property
     def total_length(self) -> float:
@@ -166,7 +172,8 @@ class ReferencePath:
         """Curvature at s + ds, clamped to the path end (preview lookup)."""
         return self.curvature_at(min(max(s + ds, 0.0), self.total_length))
 
-    def project(self, position: tuple[float, float], heading: float) -> Projection:
+    def project(self, position: tuple[float, float], heading: float,
+                s_hint: float | None = None) -> Projection:
         """Closest-point projection of a world pose onto the path.
 
         Returns the Frenet state at the global distance minimizer; ties break
@@ -178,14 +185,24 @@ class ReferencePath:
         bound exceeds the exact distance to the segment with the smallest
         bound (plus slack) is farther than the minimizer and cannot join the
         tie set. The result equals that of a scan over every segment.
+
+        `s_hint` (the caller's last abscissa, any float) names a segment k to
+        try first, at distance d_k. If 2*d_k + slack is below k's clearance,
+        every segment j with |j - k| >= 2 is farther than d_k + slack (its
+        distance from the nearest point on k is at least the clearance), so
+        only k and its neighbours whose bound passes are evaluated. Otherwise
+        every bound is computed as without a hint. The hint changes the cost,
+        never the result.
         """
         px, py = position
-        bounds = [math.hypot(px - mx, py - my) - half for mx, my, half in self._bounds]
-        first = bounds.index(min(bounds))
-        nearest = self._candidate(first, px, py)
-        cut = nearest[0] + _PRUNE_SLACK
-        candidates = [nearest if i == first else self._candidate(i, px, py)
-                      for i, b in enumerate(bounds) if b <= cut or i == first]
+        candidates = None if s_hint is None else self._hinted_candidates(s_hint, px, py)
+        if candidates is None:
+            bounds = [math.hypot(px - mx, py - my) - half for mx, my, half in self._bounds]
+            first = bounds.index(min(bounds))
+            nearest = self._candidate(first, px, py)
+            cut = nearest[0] + _PRUNE_SLACK
+            candidates = [nearest if i == first else self._candidate(i, px, py)
+                          for i, b in enumerate(bounds) if b <= cut or i == first]
         d_best = min(c[0] for c in candidates)
         near = [c for c in candidates if c[0] <= d_best + 1e-9]
         near.sort(key=lambda c: c[1])
@@ -203,6 +220,25 @@ class ReferencePath:
             clamped=clamped,
             ambiguous=ambiguous,
         )
+
+    def _hinted_candidates(self, s_hint: float, px: float, py: float):
+        """Candidates, in index order, around the hinted segment; None when
+        its clearance cannot certify that no other segment is nearer."""
+        n = len(self.segments)
+        k = min(bisect_right(self.cumulative_lengths, s_hint), n - 1)
+        nearest = self._candidate(k, px, py)
+        if not 2.0 * nearest[0] + _PRUNE_SLACK < self._clearance[k]:
+            return None
+        cut = nearest[0] + _PRUNE_SLACK
+        candidates = []
+        for i in (k - 1, k, k + 1):
+            if i == k:
+                candidates.append(nearest)
+            elif 0 <= i < n:
+                mx, my, half = self._bounds[i]
+                if math.hypot(px - mx, py - my) - half <= cut:
+                    candidates.append(self._candidate(i, px, py))
+        return candidates
 
     def _candidate(self, i: int, px: float, py: float) -> tuple[float, float, bool]:
         """(distance, s, clamped) of the closest point on segment i."""
@@ -247,6 +283,44 @@ def _project_segment(seg: PathSegment, px: float, py: float) -> tuple[float, boo
     ex, ey, _ = seg.end_pose()
     d_end = math.hypot(px - ex, py - ey)
     return (0.0, True) if d_start <= d_end else (seg.length, True)
+
+
+def _box(seg: PathSegment) -> tuple[float, float, float, float]:
+    """(x_min, y_min, x_max, y_max) holding every `seg.point_at(u)`, u in [0, length].
+
+    A line's box spans its endpoints; an arc's also spans every axis extreme
+    of its circle that the sweep crosses (all four once the sweep reaches 2*pi).
+    """
+    (x0, y0, _), (x1, y1, _) = seg.point_at(0.0), seg.end_pose()
+    xs, ys = [x0, x1], [y0, y1]
+    c = seg.curvature
+    if c != 0.0:
+        cx, cy = seg.center()
+        r = 1.0 / abs(c)
+        sweep = abs(c) * seg.length
+        # polar angle about the center runs counter-clockwise over [lo, lo + sweep]
+        start = seg.start_heading - math.copysign(math.pi / 2, c)
+        lo = start if c > 0 else start - sweep
+        for j, (ex, ey) in enumerate(((r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r))):
+            if (j * math.pi / 2 - lo) % _TWO_PI <= sweep:
+                xs.append(cx + ex)
+                ys.append(cy + ey)
+    return (min(xs) - _BOX_PAD, min(ys) - _BOX_PAD, max(xs) + _BOX_PAD, max(ys) + _BOX_PAD)
+
+
+def _clearances(segments: tuple[PathSegment, ...]) -> tuple[float, ...]:
+    """Per segment k: min box gap to every segment j with |j - k| >= 2."""
+    boxes = [_box(seg) for seg in segments]
+    clearance = [math.inf] * len(boxes)
+    for k, (ax0, ay0, ax1, ay1) in enumerate(boxes):
+        for j in range(k + 2, len(boxes)):
+            bx0, by0, bx1, by1 = boxes[j]
+            gap = math.hypot(max(bx0 - ax1, ax0 - bx1, 0.0), max(by0 - ay1, ay0 - by1, 0.0))
+            if gap < clearance[k]:
+                clearance[k] = gap
+            if gap < clearance[j]:
+                clearance[j] = gap
+    return tuple(clearance)
 
 
 def build_path(

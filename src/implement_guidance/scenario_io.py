@@ -241,6 +241,10 @@ def parse_scenario(text: str, seed_override: int | None = None,
         theta_std=_num(n, "theta_std_rad", 0.005),
         omega_std=_num(n, "omega_std_rad_s", 0.01))
     seed = _seed(r) if seed_override is None else seed_override
+    initial_s = _num(r, "initial_s_m", 0.0)
+    if not 0.0 <= initial_s <= path.total_length:
+        raise ScenarioError(f"line {r['initial_s_m'].line}: key 'initial_s_m': must lie in "
+                            f"[0, {path.total_length!r}], got {r['initial_s_m']!r}")
     try:
         return Scenario(
             path=path, vehicle=vehicle, implement=implement,
@@ -248,7 +252,7 @@ def parse_scenario(text: str, seed_override: int | None = None,
             run_length=_num(r, "length_m", path.total_length - 1.0),
             dt=_positive(r, "dt_s", 0.01),
             control_period=_positive(r, "control_period_s", 0.1),
-            initial_s=_num(r, "initial_s_m", 0.0),
+            initial_s=initial_s,
             initial_y=initial_y,
             initial_theta=_num(r, "initial_theta_rad", 0.0),
             seed=seed, noise=noise)

@@ -9,7 +9,7 @@ equations can be validated against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ParameterError, SingularityError
@@ -67,9 +67,13 @@ def implement_world_position(pose: VehiclePose, imp: ImplementConfig) -> tuple[f
             pose.y_world + sh * imp.I_s + ch * imp.I_y)
 
 
-def implement_error_exact(pose: VehiclePose, imp: ImplementConfig, path: ReferencePath) -> float:
-    """Ground-truth implement lateral error: project the implement point onto the path."""
-    return path.project(implement_world_position(pose, imp), pose.heading).frenet.y
+def implement_error_exact(pose: VehiclePose, imp: ImplementConfig, path: ReferencePath,
+                          s_hint: float | None = None) -> float:
+    """Ground-truth implement lateral error: project the implement point onto the path.
+
+    `s_hint` is passed to `ReferencePath.project`; it changes the cost only.
+    """
+    return path.project(implement_world_position(pose, imp), pose.heading, s_hint).frenet.y
 
 
 def implement_error_measured(frenet: FrenetState, imp: ImplementConfig) -> float:
@@ -114,11 +118,11 @@ def integrate_pose(pose: VehiclePose, steer_fn: Callable[[float], float],
     k2 = deriv(t0 + dt / 2, x + dt / 2 * k1[0], y + dt / 2 * k1[1], psi + dt / 2 * k1[2])
     k3 = deriv(t0 + dt / 2, x + dt / 2 * k2[0], y + dt / 2 * k2[1], psi + dt / 2 * k2[2])
     k4 = deriv(t0 + dt, x + dt * k3[0], y + dt * k3[1], psi + dt * k3[2])
-    return replace(
-        pose,
+    return VehiclePose(
         x=x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
         y_world=y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
         heading=wrap_angle(psi + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])),
+        steer=pose.steer,
     )
 
 
@@ -141,8 +145,9 @@ def step(pose: VehiclePose, frenet: FrenetState, steer_cmd: float, dt: float,
     if abs(1.0 - c * frenet.y) < SINGULARITY_EPS:
         raise SingularityError(f"1 - c*y guard tripped at s={frenet.s}")
     new_steer = apply_steer_command(pose.steer, steer_cmd, dt, cfg)
-    moved = integrate_pose(replace(pose, steer=new_steer), lambda t: new_steer, 0.0, dt, cfg)
-    proj = path.project((moved.x, moved.y_world), moved.heading)
+    moved = integrate_pose(VehiclePose(pose.x, pose.y_world, pose.heading, new_steer),
+                           lambda t: new_steer, 0.0, dt, cfg)
+    proj = path.project((moved.x, moved.y_world), moved.heading, frenet.s)
     new_frenet = proj.frenet
     c_new = path.curvature_at(new_frenet.s)
     if abs(1.0 - c_new * new_frenet.y) < SINGULARITY_EPS:

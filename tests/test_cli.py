@@ -145,11 +145,22 @@ def test_shipped_scenarios_validate(tmp_path, capsys):
     ("[path]\npreset exp1\n[run]\ndt_s 0\n", 5),
     ("[path]\npreset exp1\n[run]\nlength_m nan\n", 5),
     ("[path]\npreset exp1\n[run]\nseed 1.7\n", 5),
+    ("[path]\npreset exp1\n[run]\ninitial_s_m 500\n", 5),
 ], ids=["segment_not_a_number", "segment_infinite", "dt_zero", "run_length_nan",
-        "seed_not_integer"])
+        "seed_not_integer", "initial_s_beyond_path"])
 def test_bad_value_exits_2_with_line(tmp_path, capsys, body, line):
     p = tmp_path / "bad.scn"
     p.write_text("format_version 1\n" + body)
     for command in (["validate", str(p)], ["--out-dir", str(tmp_path / "o"), "run", str(p)]):
         assert main(command) == 2
         assert f"scenario error: line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.7", "x"])
+def test_bad_seed_flag_exits_2(seed, capsys):
+    run = ["--seed", seed, "run", str(SCENARIOS / "exp1_rear_optimal.scn")]
+    with pytest.raises(SystemExit) as exc:
+        main(run)
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+

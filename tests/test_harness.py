@@ -19,7 +19,7 @@ from implement_guidance.harness import (
     sweep_horizon,
     write_csv,
 )
-from implement_guidance.paths import build_experiment_path, build_path
+from implement_guidance.paths import ReferencePath, build_experiment_path, build_path
 from implement_guidance.presets import REAR_IMPLEMENT, TABLE1, TABLE2
 from implement_guidance.vehicle import ImplementConfig, VehicleConfig
 
@@ -74,6 +74,68 @@ def test_seed_ignored_when_noise_disabled():
     a = run_scenario(straight_scenario(seed=1))
     b = run_scenario(straight_scenario(seed=2))
     assert a.records == b.records
+
+
+# ---------------------------------------------- hinted projection in the loop
+
+def _serpentine_field():
+    """Four 20 m rows joined by 180-degree headland arcs of radius 3 m."""
+    descriptors = []
+    for i in range(4):
+        descriptors.append({"kind": "line", "length_m": 20.0})
+        if i < 3:
+            descriptors.append({"kind": "arc", "length_m": 3.0 * math.pi,
+                                "curvature_per_m": (1.0 if i % 2 == 0 else -1.0) / 3.0})
+    return build_path(descriptors)
+
+
+def _closed_loop_scenarios(no_certificate=False):
+    """A field run (rear optimal, second row and its headland turn) and an
+    exp2 run, both with noise on."""
+    field_path, exp2_path = _serpentine_field(), build_experiment_path("exp2")
+    if no_certificate:
+        # a zero clearance fails the certificate on every call
+        for path in (field_path, exp2_path):
+            object.__setattr__(path, "_clearance", (0.0,) * len(path.segments))
+    imp, params = TABLE1[("optimal", "rear")]
+    noise = NoiseSpec(enabled=True)
+    row_and_turn = 20.0 + 3.0 * math.pi
+    field = Scenario(path=field_path, vehicle=CFG, implement=imp, method="optimal",
+                     params=params, initial_s=row_and_turn, run_length=2 * row_and_turn + 5.0,
+                     initial_y=initial_lateral_for_error(0.5, imp), noise=noise, seed=3)
+    exp2 = Scenario(path=exp2_path, vehicle=CFG, implement=REAR_IMPLEMENT, method="optimal",
+                    params=TABLE2[3], run_length=math.floor(exp2_path.total_length - 1.0),
+                    initial_y=initial_lateral_for_error(0.5, REAR_IMPLEMENT),
+                    noise=noise, seed=0)
+    return field, exp2
+
+
+def test_hinted_and_full_projection_give_equal_runs(monkeypatch):
+    outcomes = []
+    hinted = ReferencePath._hinted_candidates
+
+    def counting(self, *args):
+        found = hinted(self, *args)
+        outcomes.append(found is not None)
+        return found
+    monkeypatch.setattr(ReferencePath, "_hinted_candidates", counting)
+
+    logs = []
+    for certified, full in zip(_closed_loop_scenarios(),
+                               _closed_loop_scenarios(no_certificate=True)):
+        outcomes.clear()
+        log = run_scenario(certified)
+        # both projections of a plant step (robot and implement) pass a hint,
+        # and the certified branch handles most of them
+        assert sum(outcomes) > 0.9 * 2 * len(log.records)
+        outcomes.clear()
+        reference = run_scenario(full)
+        assert outcomes and not any(outcomes)
+        assert log.fault is None and len(log.records) > 3000
+        assert log.records == reference.records
+        logs.append(log)
+    # the field run went through the headland turn
+    assert {r.segment for r in logs[0].records} >= {"L2", "C2", "L3"}
 
 
 # ------------------------------------------------------------------- faults

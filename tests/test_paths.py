@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from implement_guidance.paths import (
     PathSegment,
     Projection,
     ReferencePath,
+    _box,
     _project_segment,
     build_experiment_path,
     build_path,
@@ -397,3 +399,89 @@ def test_project_equals_full_scan_at_junctions_and_ends():
 def test_segment_index_equals_linear_scan(path, frac):
     for s in (frac * path.total_length, *path.cumulative_lengths, 0.0):
         assert path.segment_index(s) == _full_scan_segment_index(path, s)
+
+
+# ------------------------------------------ hinted projection vs full scan
+
+PROJECTION_PATHS = SERPENTINES + (build_experiment_path("exp1"), build_experiment_path("exp2"))
+
+
+# (kind, value): an offset from the true s, a fraction of the path length
+# (beyond either end outside [0, 1]), or the hint itself
+HINTS = st.one_of(st.tuples(st.just("near"), st.floats(-3.0, 3.0)),
+                  st.tuples(st.just("at"), st.floats(-0.2, 1.2)),
+                  st.tuples(st.just("is"), st.sampled_from(
+                      [math.nan, math.inf, -math.inf, -1e300, 1e300])))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(PROJECTION_PATHS), st.floats(-0.05, 1.05), st.floats(-4.0, 4.0),
+       st.floats(-math.pi, math.pi), HINTS)
+def test_hinted_project_equals_full_scan(path, frac, d, heading, hint):
+    s = frac * path.total_length
+    px, py, _ = _offset_point(path, s, d)
+    kind, value = hint
+    s_hint = {"near": s + value, "at": value * path.total_length, "is": value}[kind]
+    assert (path.project((px, py), heading, s_hint)
+            == _full_scan_project(path, (px, py), heading))
+
+
+def test_hint_takes_the_certified_branch_only_where_boxes_are_apart():
+    aligned, rotated = SERPENTINES
+    # rows 6 m apart: a row's box clears every non-neighbour by 6 m
+    assert min(aligned._clearance) > 5.9
+    # rotated boxes of rows overlap those of the rows beside them
+    assert min(rotated._clearance) == 0.0
+    assert build_path([{"kind": "line", "length_m": 10.0}])._clearance == (math.inf,)
+    (x, y), _, _ = aligned.point_at(10.0)
+    assert aligned._hinted_candidates(10.0, x, y + 0.5) is not None
+    (x, y), _, _ = rotated.point_at(10.0)
+    assert rotated._hinted_candidates(10.0, x, y) is None
+
+
+def _random_segment(rng, kind, sweep):
+    length = rng.uniform(0.1, 30.0)
+    curvature = 0.0 if kind == "line" else rng.choice([-1.0, 1.0]) * sweep / length
+    return PathSegment(kind=kind, start=(rng.uniform(-50, 50), rng.uniform(-50, 50)),
+                       start_heading=rng.uniform(-math.pi, math.pi), length=length,
+                       curvature=curvature)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32),
+       st.sampled_from([("line", 0.0), ("arc", 0.3), ("arc", 2.5), ("arc", 4.0),
+                        ("arc", 6.5), ("arc", 20.0)]))
+def test_every_point_of_a_segment_lies_in_its_box(seed, kind_sweep):
+    # sweeps below and above pi and 2*pi
+    rng = random.Random(seed)
+    seg = _random_segment(rng, *kind_sweep)
+    x0, y0, x1, y1 = _box(seg)
+    for u in [0.0, seg.length, *(rng.uniform(0.0, seg.length) for _ in range(200))]:
+        x, y, _ = seg.point_at(u)
+        assert x0 <= x <= x1 and y0 <= y <= y1
+    if seg.kind == "arc" and abs(seg.curvature) * seg.length <= math.pi:
+        # a short arc never gets the whole circle's box
+        r = 1.0 / abs(seg.curvature)
+        assert x1 - x0 < 2 * r or y1 - y0 < 2 * r
+
+
+def test_box_of_a_many_turn_arc_is_the_circle_box():
+    # ~8e13 turns: a construction that did work per turn would not finish
+    seg = PathSegment(kind="arc", start=(1.0, 2.0), start_heading=0.3, length=1e15,
+                      curvature=0.5)
+    cx, cy = seg.center()
+    assert _box(seg) == pytest.approx((cx - 2.0, cy - 2.0, cx + 2.0, cy + 2.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("path", PROJECTION_PATHS)
+def test_clearance_is_a_lower_bound_on_segment_distance(path):
+    rng = np.random.default_rng(5)
+    n = len(path.segments)
+    for k in range(n):
+        for j in range(n):
+            if abs(j - k) < 2:
+                continue
+            a, b = path.segments[k], path.segments[j]
+            pa = [a.point_at(u)[:2] for u in rng.uniform(0.0, a.length, 30)]
+            pb = [b.point_at(u)[:2] for u in rng.uniform(0.0, b.length, 30)]
+            assert min(math.dist(p, q) for p in pa for q in pb) >= path._clearance[k]

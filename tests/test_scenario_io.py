@@ -5,6 +5,7 @@ import pytest
 
 from implement_guidance.controllers import BaselineParams, OptimalParams
 from implement_guidance.errors import ScenarioError
+from implement_guidance.paths import build_experiment_path
 from implement_guidance.scenario_io import (
     controller_preset,
     parse_blocks,
@@ -174,6 +175,20 @@ def test_initial_y_takes_precedence_over_initial_e():
     text = ("format_version 1\n[path]\npreset exp1\n"
             "[run]\ninitial_y_m 0.3\ninitial_e_I_m 0.5\n")
     assert parse_scenario(text).initial_y == 0.3
+
+
+@pytest.mark.parametrize("value", ["-0.5", "48.28", "500"])
+def test_initial_s_outside_path_rejected_with_line(value):
+    # exp1 is 48.27... m long
+    text = f"format_version 1\n[path]\npreset exp1\n[run]\ninitial_s_m {value}\n"
+    with pytest.raises(ScenarioError, match=r"line 5: key 'initial_s_m': must lie in \[0, 48\.27"):
+        parse_scenario(text)
+
+
+def test_initial_s_at_either_end_accepted():
+    for value in ("0", repr(build_experiment_path("exp1").total_length)):
+        text = f"format_version 1\n[path]\npreset exp1\n[run]\ninitial_s_m {value}\n"
+        assert parse_scenario(text).initial_s == float(value)
 
 
 def test_seed_and_noise_overrides():
