@@ -24,7 +24,7 @@ from .harness import (
 )
 from .paths import build_experiment_path
 from .presets import TABLE1, TABLE2
-from .scenario_io import parse_scenario, resolved_config
+from .scenario_io import is_seed, parse_scenario, resolved_config
 from .svgplot import comparison_figure, sweep_figure
 from .vehicle import VehicleConfig
 
@@ -201,7 +201,7 @@ def cmd_validate(args) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
+    if not is_seed(text):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 

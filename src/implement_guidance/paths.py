@@ -104,7 +104,8 @@ class ReferencePath:
     _bounds: tuple[tuple[float, float, float], ...] = field(init=False, repr=False,
                                                             compare=False)
     # per segment k: a lower bound on the distance from k to every segment j
-    # with |j - k| >= 2 (gap between bounding boxes); inf when there is none
+    # with |j - k| >= 2 (gap between bounding boxes in the path's frame); inf
+    # when there is none
     _clearance: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -191,18 +192,18 @@ class ReferencePath:
         every segment j with |j - k| >= 2 is farther than d_k + slack (its
         distance from the nearest point on k is at least the clearance), so
         only k and its neighbours whose bound passes are evaluated. Otherwise
-        every bound is computed as without a hint. The hint changes the cost,
-        never the result.
+        every bound is computed as without a hint, and d_k, when below the
+        distance to the segment with the smallest bound, tightens the cut.
+        The hint changes the cost, never the result.
         """
         px, py = position
-        candidates = None if s_hint is None else self._hinted_candidates(s_hint, px, py)
-        if candidates is None:
-            bounds = [math.hypot(px - mx, py - my) - half for mx, my, half in self._bounds]
-            first = bounds.index(min(bounds))
-            nearest = self._candidate(first, px, py)
-            cut = nearest[0] + _PRUNE_SLACK
-            candidates = [nearest if i == first else self._candidate(i, px, py)
-                          for i, b in enumerate(bounds) if b <= cut or i == first]
+        if s_hint is None:
+            candidates = self._bound_pass(px, py)
+        else:
+            k = min(bisect_right(self.cumulative_lengths, s_hint), len(self.segments) - 1)
+            hinted = self._candidate(k, px, py)
+            candidates = (self._hinted_candidates(k, hinted, px, py)
+                          or self._bound_pass(px, py, k, hinted))
         d_best = min(c[0] for c in candidates)
         near = [c for c in candidates if c[0] <= d_best + 1e-9]
         near.sort(key=lambda c: c[1])
@@ -221,19 +222,28 @@ class ReferencePath:
             ambiguous=ambiguous,
         )
 
-    def _hinted_candidates(self, s_hint: float, px: float, py: float):
-        """Candidates, in index order, around the hinted segment; None when
-        its clearance cannot certify that no other segment is nearer."""
-        n = len(self.segments)
-        k = min(bisect_right(self.cumulative_lengths, s_hint), n - 1)
-        nearest = self._candidate(k, px, py)
-        if not 2.0 * nearest[0] + _PRUNE_SLACK < self._clearance[k]:
+    def _bound_pass(self, px: float, py: float, k: int = -1, hinted=None):
+        """Candidates, in index order, of every segment whose bound is within
+        the cut; `hinted` is segment k's candidate when already evaluated."""
+        bounds = [math.hypot(px - mx, py - my) - half for mx, my, half in self._bounds]
+        first = bounds.index(min(bounds))
+        nearest = hinted if first == k else self._candidate(first, px, py)
+        cut = (nearest[0] if hinted is None else min(nearest[0], hinted[0])) + _PRUNE_SLACK
+        return [nearest if i == first else hinted if i == k else self._candidate(i, px, py)
+                for i, b in enumerate(bounds) if b <= cut or i == first]
+
+    def _hinted_candidates(self, k: int, hinted, px: float, py: float):
+        """Candidates, in index order, around segment k (`hinted` is its
+        candidate); None when k's clearance cannot certify that no other
+        segment is nearer."""
+        if not 2.0 * hinted[0] + _PRUNE_SLACK < self._clearance[k]:
             return None
-        cut = nearest[0] + _PRUNE_SLACK
+        cut = hinted[0] + _PRUNE_SLACK
+        n = len(self.segments)
         candidates = []
         for i in (k - 1, k, k + 1):
             if i == k:
-                candidates.append(nearest)
+                candidates.append(hinted)
             elif 0 <= i < n:
                 mx, my, half = self._bounds[i]
                 if math.hypot(px - mx, py - my) - half <= cut:
@@ -309,8 +319,21 @@ def _box(seg: PathSegment) -> tuple[float, float, float, float]:
 
 
 def _clearances(segments: tuple[PathSegment, ...]) -> tuple[float, ...]:
-    """Per segment k: min box gap to every segment j with |j - k| >= 2."""
-    boxes = [_box(seg) for seg in segments]
+    """Per segment k: min box gap to every segment j with |j - k| >= 2.
+
+    The boxes are taken in the path's own frame (origin at its start, x axis
+    along its start heading), so rows laid along the first segment get the
+    same clearance at any heading; a gap in any frame bounds the distance.
+    Moving a segment into that frame rounds its points by ~1e-14 m at field
+    scale, far inside the certificate's `_PRUNE_SLACK`.
+    """
+    (ox, oy), h0 = segments[0].start, segments[0].start_heading
+    cos0, sin0 = math.cos(h0), math.sin(h0)
+    boxes = []
+    for seg in segments:
+        dx, dy = seg.start[0] - ox, seg.start[1] - oy
+        boxes.append(_box(PathSegment(seg.kind, (dx * cos0 + dy * sin0, dy * cos0 - dx * sin0),
+                                      seg.start_heading - h0, seg.length, seg.curvature)))
     clearance = [math.inf] * len(boxes)
     for k, (ax0, ay0, ax1, ay1) in enumerate(boxes):
         for j in range(k + 2, len(boxes)):

@@ -114,11 +114,17 @@ def _positive(d: dict, key: str, default: float) -> float:
     return x
 
 
+def is_seed(text: str) -> bool:
+    """Whether text is a valid seed: a non-negative integer in ASCII digits,
+    with no sign, point or spaces."""
+    return text.isascii() and text.isdigit()
+
+
 def _seed(d: dict) -> int:
     if "seed" not in d:
         return 0
     text = d["seed"]
-    if not (text.isascii() and text.isdigit()):
+    if not is_seed(text):
         raise ScenarioError(f"line {text.line}: key 'seed': must be a non-negative "
                             f"integer, got {text!r}")
     return int(text)

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -329,9 +330,10 @@ def _full_scan_project(path, position, heading):
                       clamped=clamped, ambiguous=ambiguous)
 
 
-def serpentine(rows, row, radius, start=(0.0, 0.0), start_heading=0.0):
-    """Rows joined by alternating 180-degree headland arcs: rows 2*radius apart."""
-    descriptors = []
+def serpentine(rows, row, radius, start=(0.0, 0.0), start_heading=0.0, entry=()):
+    """Rows joined by alternating 180-degree headland arcs: rows 2*radius apart,
+    after the `entry` segment descriptors."""
+    descriptors = list(entry)
     for i in range(rows):
         descriptors.append({"kind": "line", "length_m": row})
         if i < rows - 1:
@@ -403,7 +405,13 @@ def test_segment_index_equals_linear_scan(path, frac):
 
 # ------------------------------------------ hinted projection vs full scan
 
-PROJECTION_PATHS = SERPENTINES + (build_experiment_path("exp1"), build_experiment_path("exp2"))
+# rows at 0.7 rad to the entry arc, and so to the path's frame: their boxes
+# overlap those of the rows beside them, and hinted calls fall back
+TILTED = serpentine(6, 18.0, 3.1, start=(-2.0, 1.5), start_heading=-0.4,
+                    entry=[{"kind": "arc", "length_m": 3.5, "curvature_per_m": 0.2}])
+
+PROJECTION_PATHS = SERPENTINES + (TILTED, build_experiment_path("exp1"),
+                                  build_experiment_path("exp2"))
 
 
 # (kind, value): an offset from the true s, a fraction of the path length
@@ -426,17 +434,55 @@ def test_hinted_project_equals_full_scan(path, frac, d, heading, hint):
             == _full_scan_project(path, (px, py), heading))
 
 
+def _certifies(path, s, d):
+    """Whether a hinted call at s, d to the left of the path, is certified."""
+    px, py, _ = _offset_point(path, s, d)
+    k = path.segment_index(s)
+    return path._hinted_candidates(k, path._candidate(k, px, py), px, py) is not None
+
+
 def test_hint_takes_the_certified_branch_only_where_boxes_are_apart():
     aligned, rotated = SERPENTINES
-    # rows 6 m apart: a row's box clears every non-neighbour by 6 m
+    # rows 6 m and 5.86 m apart: in the path's frame a row's box clears every
+    # non-neighbour by the row spacing, whatever the path's heading
     assert min(aligned._clearance) > 5.9
-    # rotated boxes of rows overlap those of the rows beside them
-    assert min(rotated._clearance) == 0.0
+    assert min(rotated._clearance) > 5.8
+    assert min(TILTED._clearance) == 0.0
     assert build_path([{"kind": "line", "length_m": 10.0}])._clearance == (math.inf,)
-    (x, y), _, _ = aligned.point_at(10.0)
-    assert aligned._hinted_candidates(10.0, x, y + 0.5) is not None
-    (x, y), _, _ = rotated.point_at(10.0)
-    assert rotated._hinted_candidates(10.0, x, y) is None
+    for path in (aligned, rotated):
+        assert all(_certifies(path, s, 0.5) for s in (10.0, 70.0, path.total_length - 5.0))
+    assert not _certifies(TILTED, 3.5 + 36.0 + 9.0, 0.5)
+
+
+def test_hint_fallback_evaluates_at_most_one_segment_more(monkeypatch):
+    # the hinted segment's distance seeds the bound pass's cut, so a failed
+    # certificate costs at most that one evaluation over an unhinted call,
+    # and none when the unhinted call evaluates the hinted segment too
+    evaluated = []
+    candidate = ReferencePath._candidate
+
+    def counting(self, i, px, py):
+        evaluated.append(i)
+        return candidate(self, i, px, py)
+    monkeypatch.setattr(ReferencePath, "_candidate", counting)
+    rng = random.Random(2)
+    fallbacks = 0
+    for _ in range(300):
+        s = rng.uniform(0.0, TILTED.total_length)
+        px, py, h = _offset_point(TILTED, s, rng.uniform(-4.0, 4.0))
+        s_hint = s + rng.uniform(-3.0, 3.0)
+        k = min(bisect.bisect_right(TILTED.cumulative_lengths, s_hint),
+                len(TILTED.segments) - 1)
+        if 2.0 * candidate(TILTED, k, px, py)[0] + 1e-6 < TILTED._clearance[k]:
+            continue
+        fallbacks += 1
+        evaluated.clear()
+        TILTED.project((px, py), h)
+        plain = set(evaluated)
+        evaluated.clear()
+        TILTED.project((px, py), h, s_hint)
+        assert len(evaluated) <= len(plain) + (k not in plain)
+    assert fallbacks > 100
 
 
 def _random_segment(rng, kind, sweep):
