@@ -12,12 +12,10 @@ are flagged as such in reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError, SingularityError
-from .vehicle import ImplementConfig, Measurements, VehicleConfig
-
-SINGULARITY_EPS = 1e-6
+from .vehicle import SINGULARITY_EPS, ImplementConfig, Measurements, VehicleConfig
 
 
 @dataclass(frozen=True)
@@ -32,6 +30,8 @@ class OptimalParams:
             raise ParameterError("lam, k_theta, s_h, s_t must all be > 0")
         if self.s_t > self.s_h:
             raise ParameterError("s_t must not exceed s_h")
+        if not math.isfinite(self.s_h / self.s_t):
+            raise ParameterError("s_h / s_t must be finite")
         if self.n_h < 1:
             raise ParameterError("horizon must contain at least one sample")
 
@@ -288,7 +288,7 @@ class BacksteppingController(Controller):
         self.params, self.imp, self.cfg = params, imp, cfg
 
     def _compute(self, meas):
-        return backstepping_control_step(replace(meas, omega_bar=0.0),
+        return backstepping_control_step(meas._replace(omega_bar=0.0),
                                          self.params, self.imp, self.cfg)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,10 +66,13 @@ class Scenario:
     def __post_init__(self):
         if self.run_length > self.path.total_length:
             raise ParameterError("run_length exceeds path total_length")
+        if not self.initial_s < self.run_length:
+            raise ParameterError("initial_s must be below run_length")
         if not self.dt > 0:
             raise ParameterError("dt must be > 0")
         ratio = self.control_period / self.dt
-        if self.control_period < self.dt or abs(ratio - round(ratio)) > 1e-9:
+        if (self.control_period < self.dt or not math.isfinite(ratio)
+                or abs(ratio - round(ratio)) > 1e-9):
             raise ParameterError("control_period must be an integer multiple of dt")
 
     def make_controller(self) -> Controller:
@@ -81,8 +85,7 @@ class Scenario:
         raise ParameterError(f"unknown controller method {self.method!r}")
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     t: float
     s: float
     y: float
@@ -163,9 +166,10 @@ def run_scenario(scn: Scenario) -> RunLog:
                                     y=meas.frenet.y + rng.normal(0.0, scn.noise.y_std),
                                     theta_tilde=meas.frenet.theta_tilde
                                     + rng.normal(0.0, scn.noise.theta_std))
-                meas = replace(meas, frenet=noisy,
-                               omega_bar=meas.omega_bar + rng.normal(0.0, scn.noise.omega_std),
-                               e_I=implement_error_measured(noisy, scn.implement))
+                meas = meas._replace(
+                    frenet=noisy,
+                    omega_bar=meas.omega_bar + rng.normal(0.0, scn.noise.omega_std),
+                    e_I=implement_error_measured(noisy, scn.implement))
             cmd = controller.step(meas)
             delta_cmd = cmd.delta_desired
             theta_d = cmd.theta_desired
@@ -188,14 +192,16 @@ def run_scenario(scn: Scenario) -> RunLog:
 
 
 def _append(log, t, pose, frenet, scn, path, delta_cmd, theta_d, fault):
+    s, y, theta_tilde = frenet
+    imp = scn.implement
+    # positional, in LogRecord field order: keywords would double the cost of the record
     log.records.append(LogRecord(
-        t=t, s=frenet.s, y=frenet.y, theta_tilde=frenet.theta_tilde,
-        e_I_exact=implement_error_exact(pose, scn.implement, path,
-                                        frenet.s + scn.implement.I_s),
-        e_I_measured=implement_error_measured(frenet, scn.implement),
-        delta_cmd=delta_cmd, delta_actual=pose.steer, theta_d=theta_d,
-        segment=path.segment_label(min(frenet.s, path.total_length)),
-        fault=fault,
+        t, s, y, theta_tilde,
+        implement_error_exact(pose, imp, path, s + imp.I_s),
+        implement_error_measured(frenet, imp),
+        delta_cmd, pose.steer, theta_d,
+        path.segment_label(min(s, path.total_length)),
+        fault,
     ))
 
 
@@ -283,12 +289,13 @@ def write_csv(log: RunLog, fh) -> None:
     """Write the log in the documented CSV schema; floats use shortest
     round-trip formatting so write -> parse -> write is byte-identical."""
     fh.write(CSV_HEADER + "\n")
-    for r in log.records:
+    for (t, s, y, theta_tilde, e_exact, e_measured, d_cmd, d_actual, theta_d, segment,
+         fault) in log.records:
         fh.write(",".join([
-            repr(r.t), repr(r.s), repr(r.y), repr(r.theta_tilde),
-            repr(r.e_I_exact), repr(r.e_I_measured),
-            repr(r.delta_cmd), repr(r.delta_actual), repr(r.theta_d),
-            r.segment, "1" if r.fault else "0",
+            repr(t), repr(s), repr(y), repr(theta_tilde),
+            repr(e_exact), repr(e_measured),
+            repr(d_cmd), repr(d_actual), repr(theta_d),
+            segment, "1" if fault else "0",
         ]) + "\n")
 
 

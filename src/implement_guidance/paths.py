@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import PathConstructionError, RangeError
 
@@ -79,15 +80,13 @@ class PathSegment:
         return x0 - math.sin(h) / c, y0 + math.cos(h) / c
 
 
-@dataclass(frozen=True)
-class FrenetState:
+class FrenetState(NamedTuple):
     s: float            # curvilinear abscissa, m
     y: float            # lateral deviation, m, positive left of the tangent
     theta_tilde: float  # angular deviation, rad, in (-pi, pi]
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(NamedTuple):
     """Result of projecting a world pose onto the path."""
     frenet: FrenetState
     clamped: bool = False    # nearest point was a path endpoint, s clamped
@@ -99,6 +98,8 @@ class ReferencePath:
     segments: tuple[PathSegment, ...]
     cumulative_lengths: tuple[float, ...] = field(init=False)
     labels: tuple[str, ...] = field(init=False)
+    # the last cumulative length, stored: it is read several times per plant step
+    total_length: float = field(init=False, repr=False, compare=False)
     # per segment: (midpoint x, midpoint y, length / 2); every point of a line
     # or arc lies within half its length of its midpoint (chord <= arc)
     _bounds: tuple[tuple[float, float, float], ...] = field(init=False, repr=False,
@@ -132,14 +133,11 @@ class ReferencePath:
                 n_arc += 1
                 labels.append(f"C{n_arc}")
         object.__setattr__(self, "cumulative_lengths", tuple(cum))
+        object.__setattr__(self, "total_length", total)
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "_bounds", tuple(
             seg.point_at(seg.length / 2)[:2] + (seg.length / 2,) for seg in self.segments))
         object.__setattr__(self, "_clearance", _clearances(self.segments))
-
-    @property
-    def total_length(self) -> float:
-        return self.cumulative_lengths[-1]
 
     def segment_index(self, s: float) -> int:
         """Index of the segment containing s; a junction belongs to the later segment."""
@@ -204,23 +202,28 @@ class ReferencePath:
             hinted = self._candidate(k, px, py)
             candidates = (self._hinted_candidates(k, hinted, px, py)
                           or self._bound_pass(px, py, k, hinted))
-        d_best = min(c[0] for c in candidates)
-        near = [c for c in candidates if c[0] <= d_best + 1e-9]
-        near.sort(key=lambda c: c[1])
-        _, s_best, clamp_best = near[0]
-        # two candidates at distinct abscissae within tolerance: genuinely ambiguous
-        ambiguous = any(abs(c[1] - s_best) > 1e-6 for c in near[1:])
+        if len(candidates) == 1:
+            _, s_best, clamp_best = candidates[0]
+            ambiguous = False
+        else:
+            d_best = min(c[0] for c in candidates)
+            near = [c for c in candidates if c[0] <= d_best + 1e-9]
+            near.sort(key=lambda c: c[1])
+            _, s_best, clamp_best = near[0]
+            # two candidates at distinct abscissae within tolerance: genuinely ambiguous
+            ambiguous = any(abs(c[1] - s_best) > 1e-6 for c in near[1:])
+        total = self.total_length
         # interior endpoint hits are junction duplicates, not clamping
-        clamped = clamp_best and (s_best <= 1e-12 or s_best >= self.total_length - 1e-12)
-        (qx, qy), th, _ = self.point_at(min(s_best, self.total_length))
+        clamped = clamp_best and (s_best <= 1e-12 or s_best >= total - 1e-12)
+        # the point at s as `point_at(s)` finds it, less the range check: s_best >= 0
+        s = min(s_best, total)
+        cum = self.cumulative_lengths
+        i = min(bisect_right(cum, s), len(cum) - 1)
+        qx, qy, th = self.segments[i].point_at(s - (cum[i - 1] if i > 0 else 0.0))
         nx, ny = -math.sin(th), math.cos(th)
         y_signed = (px - qx) * nx + (py - qy) * ny
-        return Projection(
-            frenet=FrenetState(s=min(s_best, self.total_length), y=y_signed,
-                               theta_tilde=wrap_angle(heading - th)),
-            clamped=clamped,
-            ambiguous=ambiguous,
-        )
+        return Projection(FrenetState(s, y_signed, wrap_angle(heading - th)),
+                          clamped, ambiguous)
 
     def _bound_pass(self, px: float, py: float, k: int = -1, hinted=None):
         """Candidates, in index order, of every segment whose bound is within

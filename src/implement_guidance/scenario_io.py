@@ -14,7 +14,7 @@ from .controllers import BaselineParams, OptimalParams
 from .errors import GuidanceError, ParameterError, ScenarioError
 from .harness import NoiseSpec, Scenario, initial_lateral_for_error
 from .paths import PRESET_DESCRIPTORS, build_path
-from .presets import TABLE1, TABLE2
+from .presets import REAR_IMPLEMENT, TABLE1, TABLE2
 from .vehicle import ImplementConfig, VehicleConfig
 
 FORMAT_VERSION = 1
@@ -114,6 +114,13 @@ def _positive(d: dict, key: str, default: float) -> float:
     return x
 
 
+def _non_negative(d: dict, key: str, default: float) -> float:
+    x = _num(d, key, default)
+    if x < 0:
+        raise ScenarioError(f"line {d[key].line}: key {key!r}: must be >= 0, got {d[key]!r}")
+    return x + 0.0  # -0.0 becomes 0.0: numpy's normal() rejects a negative-signed scale
+
+
 def is_seed(text: str) -> bool:
     """Whether text is a valid seed: a non-negative integer in ASCII digits,
     with no sign, point or spaces."""
@@ -165,7 +172,7 @@ for (_m, _p), (_imp, _params) in TABLE1.items():
     _CONTROLLER_PRESETS[f"table1_{_p}_{_m}"] = (_m, _imp, _params)
 for _params in TABLE2:
     _CONTROLLER_PRESETS[f"table2_sh_{_params.s_h:g}"] = (
-        "optimal", ImplementConfig(I_s=-2.0, I_y=-0.5), _params)
+        "optimal", REAR_IMPLEMENT, _params)
 
 
 def controller_preset(name: str):
@@ -227,9 +234,10 @@ def parse_scenario(text: str, seed_override: int | None = None,
     method, params, preset_imp = _build_controller(c)
     i = _scalars(blocks.get("implement", []))
     if i:
-        implement = ImplementConfig(I_s=_num(i, "I_s_m", -2.0), I_y=_num(i, "I_y_m", -0.5))
+        implement = ImplementConfig(I_s=_num(i, "I_s_m", REAR_IMPLEMENT.I_s),
+                                    I_y=_num(i, "I_y_m", REAR_IMPLEMENT.I_y))
     else:
-        implement = preset_imp or ImplementConfig(I_s=-2.0, I_y=-0.5)
+        implement = preset_imp or REAR_IMPLEMENT
     if abs(implement.I_y) >= path.min_arc_radius():
         raise ScenarioError("key 'I_y_m': |I_y| must stay below the minimum arc radius")
     r = _scalars(blocks.get("run", []))
@@ -243,19 +251,26 @@ def parse_scenario(text: str, seed_override: int | None = None,
         raise ScenarioError("key 'enabled': expected true or false")
     noise = NoiseSpec(
         enabled=(enabled == "true") if noise_override is None else noise_override,
-        y_std=_num(n, "y_std_m", 0.01),
-        theta_std=_num(n, "theta_std_rad", 0.005),
-        omega_std=_num(n, "omega_std_rad_s", 0.01))
+        y_std=_non_negative(n, "y_std_m", 0.01),
+        theta_std=_non_negative(n, "theta_std_rad", 0.005),
+        omega_std=_non_negative(n, "omega_std_rad_s", 0.01))
     seed = _seed(r) if seed_override is None else seed_override
     initial_s = _num(r, "initial_s_m", 0.0)
     if not 0.0 <= initial_s <= path.total_length:
         raise ScenarioError(f"line {r['initial_s_m'].line}: key 'initial_s_m': must lie in "
                             f"[0, {path.total_length!r}], got {r['initial_s_m']!r}")
+    run_length = _num(r, "length_m", path.total_length - 1.0)
+    if not initial_s < run_length:
+        # the run would stop at its first record; point at initial_s_m, else length_m
+        at = r.get("initial_s_m") or r.get("length_m")
+        where = f"line {at.line}: " if at else ""
+        raise ScenarioError(f"{where}key 'initial_s_m': must be below the run length "
+                            f"{run_length!r}, got {initial_s!r}")
     try:
         return Scenario(
             path=path, vehicle=vehicle, implement=implement,
             method=method, params=params,
-            run_length=_num(r, "length_m", path.total_length - 1.0),
+            run_length=run_length,
             dt=_positive(r, "dt_s", 0.01),
             control_period=_positive(r, "control_period_s", 0.1),
             initial_s=initial_s,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ParameterError, SingularityError
 from .paths import FrenetState, ReferencePath, wrap_angle
@@ -42,16 +42,14 @@ class ImplementConfig:
     I_y: float  # lateral offset, m, signed (positive left)
 
 
-@dataclass(frozen=True)
-class VehiclePose:
+class VehiclePose(NamedTuple):
     x: float
     y_world: float
     heading: float  # rad, wrapped to (-pi, pi]
     steer: float    # rad
 
 
-@dataclass(frozen=True)
-class Measurements:
+class Measurements(NamedTuple):
     """Controller-side measurement bundle taken at one control instant."""
     frenet: FrenetState
     omega_bar: float            # yaw rate from the measured steering angle, rad/s
@@ -85,7 +83,11 @@ def implement_error_measured(frenet: FrenetState, imp: ImplementConfig) -> float
 def yaw_rate_from_steer(steer: float, frenet: FrenetState, path: ReferencePath,
                         cfg: VehicleConfig) -> float:
     """Yaw rate implied by the measured steering angle and the curvilinear model."""
-    c = path.curvature_at(frenet.s)
+    return _yaw_rate(steer, frenet, path.curvature_at(frenet.s), cfg)
+
+
+def _yaw_rate(steer: float, frenet: FrenetState, c: float, cfg: VehicleConfig) -> float:
+    """`yaw_rate_from_steer` with the path curvature c = c(s) already looked up."""
     denom = 1.0 - c * frenet.y
     if abs(denom) < SINGULARITY_EPS:
         raise SingularityError(f"1 - c*y = {denom} at s={frenet.s}")
@@ -96,34 +98,40 @@ def yaw_rate_from_steer(steer: float, frenet: FrenetState, path: ReferencePath,
 def measure(pose: VehiclePose, frenet: FrenetState, path: ReferencePath,
             cfg: VehicleConfig, imp: ImplementConfig, horizon: float) -> Measurements:
     """Assemble the measurement bundle the controllers consume."""
+    c = path.curvature_at(frenet.s)
     return Measurements(
         frenet=frenet,
-        omega_bar=yaw_rate_from_steer(pose.steer, frenet, path, cfg),
+        omega_bar=_yaw_rate(pose.steer, frenet, c, cfg),
         e_I=implement_error_measured(frenet, imp),
-        curvature_now=path.curvature_at(frenet.s),
+        curvature_now=c,
         curvature_at_horizon=path.curvature_ahead(frenet.s, horizon),
     )
 
 
 def integrate_pose(pose: VehiclePose, steer_fn: Callable[[float], float],
                    t0: float, dt: float, cfg: VehicleConfig) -> VehiclePose:
-    """One RK4 step of (x, y, psi) under the bicycle model with steer = steer_fn(t)."""
+    """One RK4 step of (x, y, psi) under the bicycle model with steer = steer_fn(t).
+
+    The derivative (v cos psi, v sin psi, v tan(steer) / L) depends on the
+    stage state through psi only, and its yaw rate on the stage time only, so
+    steer_fn runs once per distinct stage time (t0, t0 + dt/2, t0 + dt).
+    """
     v, L = cfg.speed, cfg.wheelbase
-
-    def deriv(t, x, y, psi):
-        return (v * math.cos(psi), v * math.sin(psi), v * math.tan(steer_fn(t)) / L)
-
     x, y, psi = pose.x, pose.y_world, pose.heading
-    k1 = deriv(t0, x, y, psi)
-    k2 = deriv(t0 + dt / 2, x + dt / 2 * k1[0], y + dt / 2 * k1[1], psi + dt / 2 * k1[2])
-    k3 = deriv(t0 + dt / 2, x + dt / 2 * k2[0], y + dt / 2 * k2[1], psi + dt / 2 * k2[2])
-    k4 = deriv(t0 + dt, x + dt * k3[0], y + dt * k3[1], psi + dt * k3[2])
-    return VehiclePose(
-        x=x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        y_world=y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-        heading=wrap_angle(psi + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])),
-        steer=pose.steer,
-    )
+    w1 = v * math.tan(steer_fn(t0)) / L
+    w2 = v * math.tan(steer_fn(t0 + dt / 2)) / L  # stages 2 and 3
+    w4 = v * math.tan(steer_fn(t0 + dt)) / L
+    psi2 = psi + dt / 2 * w1
+    psi3 = psi + dt / 2 * w2
+    psi4 = psi + dt * w2
+    k1x, k1y = v * math.cos(psi), v * math.sin(psi)
+    k2x, k2y = v * math.cos(psi2), v * math.sin(psi2)
+    k3x, k3y = v * math.cos(psi3), v * math.sin(psi3)
+    k4x, k4y = v * math.cos(psi4), v * math.sin(psi4)
+    return VehiclePose(x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x),
+                       y + dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y),
+                       wrap_angle(psi + dt / 6 * (w1 + 2 * w2 + 2 * w2 + w4)),
+                       pose.steer)
 
 
 def apply_steer_command(steer: float, steer_cmd: float, dt: float, cfg: VehicleConfig) -> float:

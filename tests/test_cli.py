@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from implement_guidance.cli import main
+from implement_guidance.errors import GuidanceError
+from implement_guidance.scenario_io import _BLOCK_KEYS, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -146,8 +152,11 @@ def test_shipped_scenarios_validate(tmp_path, capsys):
     ("[path]\npreset exp1\n[run]\nlength_m nan\n", 5),
     ("[path]\npreset exp1\n[run]\nseed 1.7\n", 5),
     ("[path]\npreset exp1\n[run]\ninitial_s_m 500\n", 5),
+    ("[path]\npreset exp1\n[run]\nlength_m 30\ninitial_s_m 40\n", 6),
+    ("[path]\npreset exp1\n[noise]\nenabled true\ny_std_m -0.1\n", 6),
 ], ids=["segment_not_a_number", "segment_infinite", "dt_zero", "run_length_nan",
-        "seed_not_integer", "initial_s_beyond_path"])
+        "seed_not_integer", "initial_s_beyond_path", "initial_s_beyond_run_length",
+        "noise_std_negative"])
 def test_bad_value_exits_2_with_line(tmp_path, capsys, body, line):
     p = tmp_path / "bad.scn"
     p.write_text("format_version 1\n" + body)
@@ -164,3 +173,86 @@ def test_bad_seed_flag_exits_2(seed, capsys):
     assert exc.value.code == 2
     assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
 
+
+# ------------------------------------------------------ mutated scenario text
+
+_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r")
+_VALUES = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "1", "0.5", "nan", "inf", "-inf", "1e308", "-1e308",
+                     "1e-320", "1e20", "true", "false", "abc", "exp2", "table2_sh_0.5",
+                     "kind=arc length_m=3 curvature_per_m=0.5", "kind=line", "length_m=",
+                     "=", "[run]", "[nope]", "#"]),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.text(_CHARS, max_size=12),
+)
+
+
+@st.composite
+def _mutated(draw, text):
+    """The text with one to four random line edits: a key set in its block, a
+    value replaced, a line deleted or duplicated, or one character changed."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["insert", "value", "field", "delete", "duplicate", "char"]))
+        if edit == "insert":
+            block = draw(st.sampled_from(sorted(_BLOCK_KEYS)))
+            line = f"{draw(st.sampled_from(sorted(_BLOCK_KEYS[block])))} {draw(_VALUES)}"
+            if f"[{block}]" in lines:
+                lines.insert(lines.index(f"[{block}]") + 1, line)
+            else:
+                lines += [f"[{block}]", line]
+        elif edit == "value":
+            lines[i] = f"{lines[i].split(' ', 1)[0]} {draw(_VALUES)}"
+        elif edit == "field":
+            words = lines[i].split(" ")
+            j = draw(st.integers(0, len(words) - 1))
+            words[j] = words[j].split("=", 1)[0] + "=" + draw(_VALUES)
+            lines[i] = " ".join(words)
+        elif edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i] = lines[i][:j] + draw(_CHARS) + lines[i][j + 1:]
+    return "\n".join(lines) + "\n"
+
+
+def _exit_code(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        scn = Path(tmp) / "mutated.scn"
+        scn.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return main(["--out-dir", str(Path(tmp) / "out"), command, str(scn)])
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.scn")))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_scenario_validate_never_exits_1(name, data):
+    text = data.draw(_mutated((SCENARIOS / name).read_text()))
+    assert _exit_code("validate", text) in (0, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(p.name for p in SCENARIOS.glob("*.scn"))),
+       length=st.floats(0.0, 5.0))
+def test_mutated_short_run_never_exits_1(data, name, length):
+    # pin a short run, then mutate; runs whose parsed length or plant-step
+    # budget is not small are skipped so the test stays within seconds
+    text = (SCENARIOS / name).read_text().replace("[run]", f"[run]\nlength_m {length!r}", 1)
+    text = text.replace("length_m 55\n", "")  # line_convergence's own length_m
+    text = data.draw(_mutated(text))
+    try:
+        scn = parse_scenario(text)
+    except GuidanceError:
+        scn = None
+    if scn is not None:
+        n_ctrl = round(scn.control_period / scn.dt)
+        assume(scn.run_length <= 5.0)
+        assume(3 * scn.run_length / (scn.vehicle.speed * scn.dt) + n_ctrl <= 5000)
+        assume(getattr(scn.params, "n_h", 0) <= 10000)
+    assert _exit_code("run", text) in (0, 2, 3)

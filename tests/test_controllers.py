@@ -74,6 +74,8 @@ def test_optimal_params_validation():
         OptimalParams(lam=0.0, k_theta=0.6, s_h=2.0, s_t=0.15)
     with pytest.raises(ParameterError):
         OptimalParams(lam=0.1, k_theta=0.6, s_h=0.1, s_t=0.15)
+    with pytest.raises(ParameterError):  # n_h = round(inf) would raise OverflowError
+        OptimalParams(lam=0.1, k_theta=0.6, s_h=1e308, s_t=0.15)
     with pytest.raises(ParameterError):
         BaselineParams(k_y=0.0, k_theta=0.6)
     assert REAR_PARAMS.n_h == 13  # round(2.0 / 0.15)

@@ -1,5 +1,5 @@
 """Golden outputs: SHA-256 of the CLI's CSV and JSON files for the committed
-scenarios and for `compare`/`sweep` at seed 0.
+scenarios and for `compare`/`sweep` at seed 0, each with noise on and off.
 
 Any change to these bytes must be deliberate. After one, re-record with
 
@@ -28,8 +28,9 @@ def _cases():
         for noise in ("on", "off"):
             cases[f"run/{scn.stem}/noise_{noise}"] = (
                 ["--noise", noise, "run", str(scn)], 0)
-    cases["compare/noise_on"] = (["--noise", "on", "--seed", "0", "compare"], 0)
-    cases["sweep/noise_on"] = (["--noise", "on", "--seed", "0", "sweep"], 0)
+    for noise in ("on", "off"):
+        cases[f"compare/noise_{noise}"] = (["--noise", noise, "--seed", "0", "compare"], 0)
+        cases[f"sweep/noise_{noise}"] = (["--noise", noise, "--seed", "0", "sweep"], 0)
     return cases
 
 

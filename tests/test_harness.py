@@ -44,8 +44,13 @@ def test_scenario_validation():
         straight_scenario(control_period=0.015)
     with pytest.raises(ParameterError):
         straight_scenario(control_period=0.005)
+    with pytest.raises(ParameterError):  # round(inf) would raise OverflowError
+        straight_scenario(dt=1e-320)
     with pytest.raises(ParameterError):
         straight_scenario(method="mpc").make_controller()
+    for initial_s in (55.0, 56.0, math.nan):  # run_length is 55
+        with pytest.raises(ParameterError, match="initial_s must be below run_length"):
+            straight_scenario(initial_s=initial_s)
 
 
 def test_initial_lateral_for_error():

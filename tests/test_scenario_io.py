@@ -5,7 +5,6 @@ import pytest
 
 from implement_guidance.controllers import BaselineParams, OptimalParams
 from implement_guidance.errors import ScenarioError
-from implement_guidance.paths import build_experiment_path
 from implement_guidance.scenario_io import (
     controller_preset,
     parse_blocks,
@@ -186,9 +185,30 @@ def test_initial_s_outside_path_rejected_with_line(value):
 
 
 def test_initial_s_at_either_end_accepted():
-    for value in ("0", repr(build_experiment_path("exp1").total_length)):
-        text = f"format_version 1\n[path]\npreset exp1\n[run]\ninitial_s_m {value}\n"
+    # the admissible range is [0, run length): a run must have somewhere to go
+    for value in ("0", repr(math.nextafter(30.0, 0.0))):
+        text = (f"format_version 1\n[path]\npreset exp1\n[run]\nlength_m 30\n"
+                f"initial_s_m {value}\n")
         assert parse_scenario(text).initial_s == float(value)
+
+
+@pytest.mark.parametrize("run, line", [
+    ("length_m 30\ninitial_s_m 30\n", 6),
+    ("length_m 30\ninitial_s_m 40\n", 6),
+    ("initial_s_m 48.2\n", 5),      # beyond the default run length, total - 1
+    ("length_m 0\n", 5),            # default initial_s 0 at the run length
+])
+def test_initial_s_at_or_beyond_run_length_rejected_with_line(run, line):
+    text = f"format_version 1\n[path]\npreset exp1\n[run]\n{run}"
+    with pytest.raises(ScenarioError, match=rf"line {line}: key 'initial_s_m': must be below "
+                                            r"the run length"):
+        parse_scenario(text)
+
+
+def test_negative_zero_noise_std_reads_as_zero():
+    # numpy's normal() rejects a scale whose sign bit is set
+    text = "format_version 1\n[noise]\nenabled true\ny_std_m -0\n"
+    assert parse_scenario(text).noise.y_std.hex() == (0.0).hex()
 
 
 def test_seed_and_noise_overrides():

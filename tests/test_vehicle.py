@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from implement_guidance.errors import ParameterError, SingularityError
-from implement_guidance.paths import FrenetState, build_path
+from implement_guidance.harness import LogRecord
+from implement_guidance.paths import FrenetState, Projection, build_path, wrap_angle
 from implement_guidance.vehicle import (
     ImplementConfig,
+    Measurements,
     VehicleConfig,
     VehiclePose,
     apply_steer_command,
@@ -210,6 +212,70 @@ def test_integrator_fourth_order_convergence():
         errs.append(math.hypot(p.x - ref.x, p.y_world - ref.y_world))
     for e1, e2 in zip(errs, errs[1:]):
         assert e1 / e2 >= 2 ** 4 * 0.8
+
+
+def _reference_integrate_pose(pose, steer_fn, t0, dt, cfg):
+    """Reference RK4 with one `deriv` call per stage (steering asked four
+    times); `integrate_pose` must equal it bit for bit."""
+    v, L = cfg.speed, cfg.wheelbase
+
+    def deriv(t, x, y, psi):
+        return (v * math.cos(psi), v * math.sin(psi), v * math.tan(steer_fn(t)) / L)
+
+    x, y, psi = pose.x, pose.y_world, pose.heading
+    k1 = deriv(t0, x, y, psi)
+    k2 = deriv(t0 + dt / 2, x + dt / 2 * k1[0], y + dt / 2 * k1[1], psi + dt / 2 * k1[2])
+    k3 = deriv(t0 + dt / 2, x + dt / 2 * k2[0], y + dt / 2 * k2[1], psi + dt / 2 * k2[2])
+    k4 = deriv(t0 + dt, x + dt * k3[0], y + dt * k3[1], psi + dt * k3[2])
+    return VehiclePose(
+        x=x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+        y_world=y + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+        heading=wrap_angle(psi + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])),
+        steer=pose.steer,
+    )
+
+
+def _bits(pose):
+    return [v.hex() for v in pose]
+
+
+@given(x=st.floats(-1e4, 1e4), y=st.floats(-1e4, 1e4),
+       heading=st.floats(-math.pi, math.pi), steer=st.floats(-0.55, 0.55),
+       t0=st.floats(0.0, 1e3), dt=st.floats(1e-4, 0.5),
+       speed=st.floats(0.1, 5.0), wheelbase=st.floats(0.5, 3.0),
+       amplitude=st.floats(0.0, 0.5), omega=st.floats(0.0, 20.0))
+def test_integrate_pose_equals_four_stage_reference_bit_for_bit(
+        x, y, heading, steer, t0, dt, speed, wheelbase, amplitude, omega):
+    cfg = VehicleConfig(wheelbase=wheelbase, speed=speed)
+    pose = VehiclePose(x, y, heading, steer)
+    for steer_fn in (lambda t: steer, lambda t: amplitude * math.sin(omega * t) + steer / 2):
+        new = integrate_pose(pose, steer_fn, t0, dt, cfg)
+        assert type(new) is VehiclePose
+        assert _bits(new) == _bits(_reference_integrate_pose(pose, steer_fn, t0, dt, cfg))
+
+
+def test_integrate_pose_asks_steer_once_per_stage_time():
+    times = []
+    integrate_pose(VehiclePose(0.0, 0.0, 0.0, 0.1), lambda t: times.append(t) or 0.1,
+                   2.0, 0.5, CFG)
+    assert times == [2.0, 2.25, 2.5]
+
+
+def test_per_step_types_are_immutable():
+    frenet = FrenetState(1.0, 0.2, 0.1)
+    values = [
+        frenet,
+        Projection(frenet),
+        VehiclePose(0.0, 0.0, 0.0, 0.0),
+        Measurements(frenet, 0.0, 0.0, 0.0, 0.0),
+        LogRecord(0.0, 1.0, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, "L1", False),
+    ]
+    for value in values:
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0.0)
+        with pytest.raises(AttributeError):
+            value.extra = 0.0
 
 
 def test_curvature_matched_steady_state():
