@@ -116,7 +116,7 @@ def cmd_compare(args) -> int:
             "fault": log.fault, "csv": csv_name,
         })
         per_placement.setdefault(placement, {})[method] = {
-            "s": list(log.column("s")), "e": list(log.column("e_I_exact")),
+            "s": [r.s for r in log.records], "e": [r.e_I_exact for r in log.records],
             "summary": summary.to_dict(),
         }
     ratios = {}

@@ -9,10 +9,11 @@ ground-truth implement error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
-
-import numpy as np
+from itertools import compress, groupby
+from operator import attrgetter
+from typing import TYPE_CHECKING, NamedTuple
 
 from .controllers import (
     BacksteppingController,
@@ -34,6 +35,9 @@ from .vehicle import (
     pose_on_path,
     step,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_HEADER = ("t_s,s_m,y_m,theta_tilde_rad,e_I_exact_m,e_I_measured_m,"
               "delta_cmd_rad,delta_actual_rad,theta_d_rad,segment,fault")
@@ -105,6 +109,8 @@ class RunLog:
     fault: str | None = None   # fault description when the run aborted
 
     def column(self, name: str) -> np.ndarray:
+        import numpy as np  # imported here so that noise-off runs never load numpy
+
         return np.array([getattr(r, name) for r in self.records])
 
 
@@ -143,7 +149,11 @@ def run_scenario(scn: Scenario) -> RunLog:
     is truncated with the fault recorded instead."""
     path = scn.path
     controller = scn.make_controller()
-    rng = np.random.default_rng(scn.seed)
+    if scn.noise.enabled:
+        # numpy only for noise: the noisy outputs are fixed by its PCG64 stream
+        import numpy as np
+
+        normal = np.random.default_rng(scn.seed).normal
     pose = pose_on_path(path, scn.initial_s, scn.initial_y, scn.initial_theta)
     frenet = FrenetState(s=scn.initial_s, y=scn.initial_y, theta_tilde=scn.initial_theta)
     log = RunLog()
@@ -163,12 +173,12 @@ def run_scenario(scn: Scenario) -> RunLog:
                 break
             if scn.noise.enabled:
                 noisy = FrenetState(s=meas.frenet.s,
-                                    y=meas.frenet.y + rng.normal(0.0, scn.noise.y_std),
+                                    y=meas.frenet.y + normal(0.0, scn.noise.y_std),
                                     theta_tilde=meas.frenet.theta_tilde
-                                    + rng.normal(0.0, scn.noise.theta_std))
+                                    + normal(0.0, scn.noise.theta_std))
                 meas = meas._replace(
                     frenet=noisy,
-                    omega_bar=meas.omega_bar + rng.normal(0.0, scn.noise.omega_std),
+                    omega_bar=meas.omega_bar + normal(0.0, scn.noise.omega_std),
                     e_I=implement_error_measured(noisy, scn.implement))
             cmd = controller.step(meas)
             delta_cmd = cmd.delta_desired
@@ -205,6 +215,29 @@ def _append(log, t, pose, frenet, scn, path, delta_cmd, theta_d, fault):
     ))
 
 
+def _lerp(a: float, b: float, t: float) -> float:
+    """a + (b - a) t, rounded as numpy's quantile rounds it."""
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
+
+
+def _quantile(xs: list[float], q: float) -> float:
+    """numpy's "linear" quantile of an ascending list, bit for bit."""
+    v = (len(xs) - 1) * q
+    i = math.floor(v)
+    if i >= len(xs) - 1:
+        return xs[-1]
+    return _lerp(xs[i], xs[i + 1], v - i)
+
+
+def _median(xs: list[float]) -> float:
+    """np.median: the middle value, or the mean of the middle two."""
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
+
+
 def summarize(log: RunLog, junctions: tuple[float, ...] = (), horizon: float = 0.0,
               skip_s: float = 5.0, window_pad: float = 3.0) -> RunSummary:
     """Statistics over |e_I_exact|, excluding the initial convergence window.
@@ -213,29 +246,43 @@ def summarize(log: RunLog, junctions: tuple[float, ...] = (), horizon: float = 0
     overshoot is the max |e_I| within +/- (horizon + window_pad) of each
     curvature discontinuity.
     """
-    if not log.records:
+    records = log.records
+    if not records:
         raise ParameterError("cannot summarize an empty log")
-    s = log.column("s")
-    e = np.abs(log.column("e_I_exact"))
-    keep = s >= s[0] + skip_s
-    sample = e[keep] if keep.any() else e
+    # one pass per field: on a long log every pass over the records misses the cache
+    e = list(map(abs, map(attrgetter("e_I_exact"), records)))
+    start = records[0].s + skip_s
+    sample = sorted(list(compress(e, [r.s >= start for r in records])) or e)
     per_segment = {}
-    for r in log.records:
-        per_segment.setdefault(r.segment, []).append(abs(r.e_I_exact))
+    i = 0
+    for label, run in groupby(map(attrgetter("segment"), records)):  # one run per segment visit
+        j = i + len(list(run))
+        per_segment.setdefault(label, []).extend(e[i:j])
+        i = j
     overshoot = {}
-    for sj in junctions:
-        win = np.abs(s - sj) <= horizon + window_pad
-        if win.any():
-            overshoot[f"{sj:.6g}"] = float(e[win].max())
+    if junctions:
+        # s need not be monotone along the log, so windows are cut from the
+        # records sorted by s
+        s = [r.s for r in records]
+        order = sorted(range(len(s)), key=s.__getitem__)
+        by_s = [s[k] for k in order]
+        half = horizon + window_pad
+        for sj in junctions:
+            # s - sj rounds monotonically in s, so the records that pass the
+            # window test abs(s - sj) <= half are one run of by_s
+            lo = bisect_left(by_s, True, key=lambda x: x - sj >= -half)
+            hi = bisect_left(by_s, True, key=lambda x: x - sj > half)
+            if lo < hi:
+                overshoot[f"{sj:.6g}"] = max([e[k] for k in order[lo:hi]])
     return RunSummary(
-        median_abs_e=float(np.quantile(sample, 0.5, method="linear")),
-        q25=float(np.quantile(sample, 0.25, method="linear")),
-        q75=float(np.quantile(sample, 0.75, method="linear")),
-        max_abs_e=float(sample.max()),
-        per_segment_median={k: float(np.median(v)) for k, v in per_segment.items()},
+        median_abs_e=_quantile(sample, 0.5),
+        q25=_quantile(sample, 0.25),
+        q75=_quantile(sample, 0.75),
+        max_abs_e=sample[-1],
+        per_segment_median={k: _median(v) for k, v in per_segment.items()},
         junction_overshoot=overshoot,
-        fault_count=sum(1 for r in log.records if r.fault),
-        n_samples=int(sample.size),
+        fault_count=sum(map(attrgetter("fault"), records)),
+        n_samples=len(sample),
     )
 
 

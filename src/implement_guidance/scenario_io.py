@@ -19,6 +19,13 @@ from .vehicle import ImplementConfig, VehicleConfig
 
 FORMAT_VERSION = 1
 
+# Cost limits on a scenario that parses. The controller sums over n_h = s_h / s_t
+# horizon samples, and a run takes at most 3 * length / (speed * dt) +
+# control_period / dt plant steps. The shipped scenarios, presets and benchmark
+# workloads need at most n_h = 70 and under 4e5 plant steps.
+MAX_N_H = 10_000
+MAX_PLANT_STEPS = 10_000_000
+
 _BLOCK_KEYS = {
     "path": {"preset", "start_x_m", "start_y_m", "start_heading_rad", "segment"},
     "vehicle": {"wheelbase_m", "steer_limit_rad", "steer_rate_limit_rad_s", "speed_m_s"},
@@ -213,6 +220,10 @@ def _build_controller(d: dict):
                 k_theta=_num(d, "k_theta_per_m", defaults.get("k_theta_per_m", 0.6)))
     except ParameterError as exc:
         raise ScenarioError(f"[controller]: {exc}") from exc
+    if isinstance(params, OptimalParams) and params.n_h > MAX_N_H:
+        key = "s_h_m" if "s_h_m" in d else "s_t_m"  # a preset alone stays inside
+        raise ScenarioError(f"line {d[key].line}: key {key!r}: the horizon has "
+                            f"n_h = {params.n_h} samples, above the limit {MAX_N_H}")
     return method, params, preset_imp
 
 
@@ -267,7 +278,7 @@ def parse_scenario(text: str, seed_override: int | None = None,
         raise ScenarioError(f"{where}key 'initial_s_m': must be below the run length "
                             f"{run_length!r}, got {initial_s!r}")
     try:
-        return Scenario(
+        scn = Scenario(
             path=path, vehicle=vehicle, implement=implement,
             method=method, params=params,
             run_length=run_length,
@@ -279,6 +290,17 @@ def parse_scenario(text: str, seed_override: int | None = None,
             seed=seed, noise=noise)
     except ParameterError as exc:
         raise ScenarioError(f"[run]: {exc}") from exc
+    try:  # the bound of run_scenario's loop
+        steps = 3 * scn.run_length / (scn.vehicle.speed * scn.dt) + scn.control_period / scn.dt
+    except ZeroDivisionError:  # speed * dt underflowed
+        steps = math.inf
+    if not steps <= MAX_PLANT_STEPS:
+        at = v.get("speed_m_s") or r.get("dt_s") or r.get("length_m") or r.get("control_period_s")
+        where = f"line {at.line}: " if at else "[run]: "
+        raise ScenarioError(f"{where}the run may take {steps:.3g} plant steps "
+                            f"(3 * length / (speed * dt) + control_period / dt), "
+                            f"above the limit {MAX_PLANT_STEPS}")
+    return scn
 
 
 def resolved_config(scn: Scenario) -> dict:

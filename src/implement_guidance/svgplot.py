@@ -7,10 +7,15 @@ embeds the generating command line as an XML comment.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for XML text; quotes are left as they are."""
+    return html.escape(text, quote=False)
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:

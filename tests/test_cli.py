@@ -154,9 +154,11 @@ def test_shipped_scenarios_validate(tmp_path, capsys):
     ("[path]\npreset exp1\n[run]\ninitial_s_m 500\n", 5),
     ("[path]\npreset exp1\n[run]\nlength_m 30\ninitial_s_m 40\n", 6),
     ("[path]\npreset exp1\n[noise]\nenabled true\ny_std_m -0.1\n", 6),
+    ("[path]\npreset exp1\n[controller]\ns_h_m 1e12\n", 5),
+    ("[path]\npreset exp1\n[vehicle]\nspeed_m_s 1e-300\n", 5),
 ], ids=["segment_not_a_number", "segment_infinite", "dt_zero", "run_length_nan",
         "seed_not_integer", "initial_s_beyond_path", "initial_s_beyond_run_length",
-        "noise_std_negative"])
+        "noise_std_negative", "horizon_samples_beyond_limit", "plant_steps_beyond_limit"])
 def test_bad_value_exits_2_with_line(tmp_path, capsys, body, line):
     p = tmp_path / "bad.scn"
     p.write_text("format_version 1\n" + body)

@@ -4,11 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from implement_guidance.errors import ParameterError
 from implement_guidance.harness import (
     CSV_HEADER,
+    LogRecord,
     NoiseSpec,
+    RunLog,
+    RunSummary,
     Scenario,
     compare_methods,
     initial_lateral_for_error,
@@ -181,6 +185,91 @@ def test_summarize_quantiles_and_windows():
     assert set(summary.per_segment_median) == {"L1"}
     d = summary.to_dict()
     assert d["median_abs_e_m"] == summary.median_abs_e
+
+
+def _reference_summarize(log, junctions=(), horizon=0.0, skip_s=5.0, window_pad=3.0):
+    """summarize as it was written with numpy, kept as the reference."""
+    s = log.column("s")
+    e = np.abs(log.column("e_I_exact"))
+    keep = s >= s[0] + skip_s
+    sample = e[keep] if keep.any() else e
+    per_segment = {}
+    for r in log.records:
+        per_segment.setdefault(r.segment, []).append(abs(r.e_I_exact))
+    overshoot = {}
+    for sj in junctions:
+        win = np.abs(s - sj) <= horizon + window_pad
+        if win.any():
+            overshoot[f"{sj:.6g}"] = float(e[win].max())
+    return RunSummary(
+        median_abs_e=float(np.quantile(sample, 0.5, method="linear")),
+        q25=float(np.quantile(sample, 0.25, method="linear")),
+        q75=float(np.quantile(sample, 0.75, method="linear")),
+        max_abs_e=float(sample.max()),
+        per_segment_median={k: float(np.median(v)) for k, v in per_segment.items()},
+        junction_overshoot=overshoot,
+        fault_count=sum(1 for r in log.records if r.fault),
+        n_samples=int(sample.size),
+    )
+
+
+def _exact(obj):
+    """obj with every float as float.hex and every dict as its item list, so
+    that == also compares signs of zero and key order."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return [(k, _exact(v)) for k, v in obj.items()]
+    return obj
+
+
+def _assert_summaries_equal(log, **kwargs):
+    want = _reference_summarize(log, **kwargs).to_dict()
+    got = summarize(log, **kwargs).to_dict()
+    assert got == want
+    assert _exact(got) == _exact(want)
+
+
+# on a grid of quarter metres, windows touch records and each other exactly
+_GRID = st.integers(-8, 200).map(lambda k: k / 4)
+_ABSCISSA = st.one_of(_GRID, st.floats(-5.0, 60.0))
+_LENGTH = st.one_of(st.integers(0, 24).map(lambda k: k / 4), st.floats(0.0, 10.0))
+
+
+@st.composite
+def _logs(draw):
+    n = draw(st.integers(1, 40))
+    abscissae = draw(st.one_of(
+        st.lists(_ABSCISSA, min_size=n, max_size=n),  # repeated and non-monotone
+        st.lists(_ABSCISSA, min_size=n, max_size=n).map(sorted)))
+    errors = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, 1e-300]),
+                                     st.floats(-3.0, 3.0)),
+                           min_size=n, max_size=n))
+    segments = draw(st.lists(st.sampled_from(["L1", "C1", "L2"]), min_size=n, max_size=n))
+    faults = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return RunLog([LogRecord(0.01 * i, si, 0.0, 0.0, ei, 0.0, 0.0, 0.0, 0.0, segment, fault)
+                   for i, (si, ei, segment, fault)
+                   in enumerate(zip(abscissae, errors, segments, faults))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=_logs(),
+       junctions=st.lists(st.one_of(_ABSCISSA, st.just(1e3)), max_size=5).map(tuple),
+       horizon=_LENGTH, window_pad=_LENGTH,
+       skip_s=st.one_of(_LENGTH, st.floats(0.0, 100.0), st.just(1e6)))
+def test_summarize_equals_numpy_reference(log, junctions, horizon, skip_s, window_pad):
+    # skip_s 1e6 drops every record, so the whole log is the sample; junction
+    # 1e3 has an empty window
+    _assert_summaries_equal(log, junctions=junctions, horizon=horizon, skip_s=skip_s,
+                            window_pad=window_pad)
+
+
+def test_summarize_equals_numpy_reference_on_a_run():
+    scn = straight_scenario(path=build_experiment_path("exp1"), run_length=45.0)
+    log = run_scenario(scn)
+    for n in (len(log.records), len(log.records) - 1):  # even and odd sample sizes
+        _assert_summaries_equal(RunLog(log.records[:n]), junctions=scn.path.junctions(),
+                                horizon=scn.params.s_h)
 
 
 def test_summarize_empty_log_rejected():

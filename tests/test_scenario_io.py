@@ -6,6 +6,8 @@ import pytest
 from implement_guidance.controllers import BaselineParams, OptimalParams
 from implement_guidance.errors import ScenarioError
 from implement_guidance.scenario_io import (
+    MAX_N_H,
+    MAX_PLANT_STEPS,
     controller_preset,
     parse_blocks,
     parse_scenario,
@@ -209,6 +211,20 @@ def test_negative_zero_noise_std_reads_as_zero():
     # numpy's normal() rejects a scale whose sign bit is set
     text = "format_version 1\n[noise]\nenabled true\ny_std_m -0\n"
     assert parse_scenario(text).noise.y_std.hex() == (0.0).hex()
+
+
+def test_cost_limits_admit_their_bound():
+    horizon = "format_version 1\n[path]\npreset exp1\n[controller]\ns_t_m 0.0001\ns_h_m {}\n"
+    assert parse_scenario(horizon.format(1)).params.n_h == MAX_N_H
+    with pytest.raises(ScenarioError, match=rf"line 6: key 's_h_m': .* n_h = {MAX_N_H + 1} "):
+        parse_scenario(horizon.format(1.0001))
+    # 3 * length / (speed * dt) + control_period / dt is 6 * length + 1 here
+    steps = ("format_version 1\n[path]\nsegment kind=line length_m=2e6\n"
+             "[run]\ndt_s 0.5\ncontrol_period_s 0.5\nlength_m {}\n")
+    assert 6 * 1666666.5 + 1 == MAX_PLANT_STEPS
+    assert parse_scenario(steps.format(1666666.5)).run_length == 1666666.5
+    with pytest.raises(ScenarioError, match=r"line 5: the run may take 1e\+07 plant steps"):
+        parse_scenario(steps.format(1666666.75))
 
 
 def test_seed_and_noise_overrides():

@@ -1,14 +1,23 @@
 import xml.dom.minidom
+from xml.sax.saxutils import escape as saxutils_escape
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from implement_guidance.svgplot import (
     _nice_ticks,
     comparison_figure,
     error_vs_s_figure,
+    escape,
     sweep_figure,
 )
+
+
+@given(st.text(st.one_of(st.sampled_from("&<>\"'"), st.characters(blacklist_categories=("Cs",)))))
+def test_escape_equals_saxutils(text):
+    # the figures' bytes stay those that saxutils.escape gives
+    assert escape(text) == saxutils_escape(text)
 
 
 def test_nice_ticks_basic():
