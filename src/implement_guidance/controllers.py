@@ -12,7 +12,10 @@ are flagged as such in reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, SingularityError
 from .vehicle import SINGULARITY_EPS, ImplementConfig, Measurements, VehicleConfig
@@ -58,14 +61,14 @@ class SigmaTerms:
     sigma_e: float  # m
 
 
-@dataclass(frozen=True)
-class ControlCommand:
+class ControlCommand(NamedTuple):
     delta_desired: float            # rad, clamped to the steer limit
     theta_desired: float = 0.0      # rad
     xi_desired: float = 0.0
     clamped: bool = False
     fault: bool = False
-    diagnostics: dict = field(default_factory=dict)
+    # the default is read-only, as it is shared by every command built without one
+    diagnostics: Mapping[str, float] = MappingProxyType({})
 
 
 def alpha_gamma(meas: Measurements, v: float) -> tuple[float, float]:
@@ -288,8 +291,10 @@ class BacksteppingController(Controller):
         self.params, self.imp, self.cfg = params, imp, cfg
 
     def _compute(self, meas):
-        return backstepping_control_step(meas._replace(omega_bar=0.0),
-                                         self.params, self.imp, self.cfg)
+        return backstepping_control_step(
+            Measurements(meas.frenet, 0.0, meas.e_I, meas.curvature_now,
+                         meas.curvature_at_horizon),
+            self.params, self.imp, self.cfg)
 
 
 class LateralServoingController(Controller):

@@ -28,6 +28,7 @@ from .paths import FrenetState, ReferencePath
 from .presets import TABLE1, TABLE2, REAR_IMPLEMENT
 from .vehicle import (
     ImplementConfig,
+    Measurements,
     VehicleConfig,
     implement_error_exact,
     implement_error_measured,
@@ -41,6 +42,8 @@ if TYPE_CHECKING:
 
 CSV_HEADER = ("t_s,s_m,y_m,theta_tilde_rad,e_I_exact_m,e_I_measured_m,"
               "delta_cmd_rad,delta_actual_rad,theta_d_rad,segment,fault")
+# standard normals a noisy run draws from its generator at a time
+NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,12 @@ class NoiseSpec:
     y_std: float = 0.01          # m
     theta_std: float = 0.005     # rad
     omega_std: float = 0.01     # rad/s
+
+    def __post_init__(self):
+        for name in ("y_std", "theta_std", "omega_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParameterError(f"noise {name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -149,11 +158,12 @@ def run_scenario(scn: Scenario) -> RunLog:
     is truncated with the fault recorded instead."""
     path = scn.path
     controller = scn.make_controller()
-    if scn.noise.enabled:
+    noise = scn.noise
+    if noise.enabled:
         # numpy only for noise: the noisy outputs are fixed by its PCG64 stream
         import numpy as np
 
-        normal = np.random.default_rng(scn.seed).normal
+        z = _standard_normals(np.random.default_rng(scn.seed)).__next__
     pose = pose_on_path(path, scn.initial_s, scn.initial_y, scn.initial_theta)
     frenet = FrenetState(s=scn.initial_s, y=scn.initial_y, theta_tilde=scn.initial_theta)
     log = RunLog()
@@ -171,15 +181,14 @@ def run_scenario(scn: Scenario) -> RunLog:
                 log.fault = str(exc)
                 _append(log, t, pose, frenet, scn, path, delta_cmd, theta_d, fault=True)
                 break
-            if scn.noise.enabled:
-                noisy = FrenetState(s=meas.frenet.s,
-                                    y=meas.frenet.y + normal(0.0, scn.noise.y_std),
-                                    theta_tilde=meas.frenet.theta_tilde
-                                    + normal(0.0, scn.noise.theta_std))
-                meas = meas._replace(
-                    frenet=noisy,
-                    omega_bar=meas.omega_bar + normal(0.0, scn.noise.omega_std),
-                    e_I=implement_error_measured(noisy, scn.implement))
+            if noise.enabled:
+                # 0.0 + std * z is normal(0.0, std) bit for bit, drawn y, theta, omega
+                s, y, theta_tilde = meas.frenet
+                noisy = FrenetState(s, y + (0.0 + noise.y_std * z()),
+                                    theta_tilde + (0.0 + noise.theta_std * z()))
+                meas = Measurements(noisy, meas.omega_bar + (0.0 + noise.omega_std * z()),
+                                    implement_error_measured(noisy, scn.implement),
+                                    meas.curvature_now, meas.curvature_at_horizon)
             cmd = controller.step(meas)
             delta_cmd = cmd.delta_desired
             theta_d = cmd.theta_desired
@@ -199,6 +208,13 @@ def run_scenario(scn: Scenario) -> RunLog:
             break
         t += scn.dt
     return log
+
+
+def _standard_normals(rng):
+    """rng's standard normals, drawn NOISE_BLOCK at a time: the same values,
+    in the same order, as one scalar draw each."""
+    while True:
+        yield from rng.standard_normal(NOISE_BLOCK).tolist()
 
 
 def _append(log, t, pose, frenet, scn, path, delta_cmd, theta_d, fault):
@@ -336,12 +352,18 @@ def write_csv(log: RunLog, fh) -> None:
     """Write the log in the documented CSV schema; floats use shortest
     round-trip formatting so write -> parse -> write is byte-identical."""
     fh.write(CSV_HEADER + "\n")
+    # a held command is the same float object row after row: format it once
+    last_cmd = last_theta = None
     for (t, s, y, theta_tilde, e_exact, e_measured, d_cmd, d_actual, theta_d, segment,
          fault) in log.records:
+        if d_cmd is not last_cmd:
+            last_cmd, cmd_text = d_cmd, repr(d_cmd)
+        if theta_d is not last_theta:
+            last_theta, theta_text = theta_d, repr(theta_d)
         fh.write(",".join([
             repr(t), repr(s), repr(y), repr(theta_tilde),
             repr(e_exact), repr(e_measured),
-            repr(d_cmd), repr(d_actual), repr(theta_d),
+            cmd_text, repr(d_actual), theta_text,
             segment, "1" if fault else "0",
         ]) + "\n")
 

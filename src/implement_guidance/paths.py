@@ -41,6 +41,14 @@ class PathSegment:
     start_heading: float           # rad
     length: float                  # m, > 0
     curvature: float               # 1/m; 0 for lines, signed for arcs
+    # Constants of the segment, computed once here and read by `point_at` and
+    # `_project_segment`: cos and sin of the start heading, the arc's center
+    # (None for a line), its period 2*pi/|c| (inf for a line) and the end pose.
+    _cos: float = field(init=False, repr=False, compare=False)
+    _sin: float = field(init=False, repr=False, compare=False)
+    _center: tuple[float, float] | None = field(init=False, repr=False, compare=False)
+    _period: float = field(init=False, repr=False, compare=False)
+    _end: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("line", "arc"):
@@ -55,29 +63,33 @@ class PathSegment:
             raise PathConstructionError("line segment must have curvature 0")
         if self.kind == "arc" and self.curvature == 0.0:
             raise PathConstructionError("arc segment must have nonzero curvature")
+        x0, y0 = self.start
+        c = self.curvature
+        cos_h, sin_h = math.cos(self.start_heading), math.sin(self.start_heading)
+        object.__setattr__(self, "_cos", cos_h)
+        object.__setattr__(self, "_sin", sin_h)
+        # circle center sits at 1/c along the left normal of the start tangent
+        object.__setattr__(self, "_center",
+                           None if c == 0.0 else (x0 - sin_h / c, y0 + cos_h / c))
+        object.__setattr__(self, "_period", math.inf if c == 0.0 else _TWO_PI / abs(c))
+        object.__setattr__(self, "_end", self.point_at(self.length))
 
     def point_at(self, u: float) -> tuple[float, float, float]:
         """Exact (x, y, heading) at arc length u from the segment start."""
-        x0, y0 = self.start
-        h = self.start_heading
         c = self.curvature
         if c == 0.0:
-            return x0 + u * math.cos(h), y0 + u * math.sin(h), h
-        # circle center sits at 1/c along the left normal of the start tangent
-        cx = x0 - math.sin(h) / c
-        cy = y0 + math.cos(h) / c
-        a = h + c * u
+            x0, y0 = self.start
+            return x0 + u * self._cos, y0 + u * self._sin, self.start_heading
+        cx, cy = self._center
+        a = self.start_heading + c * u
         return cx + math.sin(a) / c, cy - math.cos(a) / c, wrap_angle(a)
 
     def end_pose(self) -> tuple[float, float, float]:
-        return self.point_at(self.length)
+        return self._end
 
-    def center(self) -> tuple[float, float]:
-        """Arc center; undefined for lines."""
-        x0, y0 = self.start
-        h = self.start_heading
-        c = self.curvature
-        return x0 - math.sin(h) / c, y0 + math.cos(h) / c
+    def center(self) -> tuple[float, float] | None:
+        """Arc center; None for lines."""
+        return self._center
 
 
 class FrenetState(NamedTuple):
@@ -203,13 +215,13 @@ class ReferencePath:
             candidates = (self._hinted_candidates(k, hinted, px, py)
                           or self._bound_pass(px, py, k, hinted))
         if len(candidates) == 1:
-            _, s_best, clamp_best = candidates[0]
+            _, s_best, clamp_best, i_best, u_best, point_best = candidates[0]
             ambiguous = False
         else:
             d_best = min(c[0] for c in candidates)
             near = [c for c in candidates if c[0] <= d_best + 1e-9]
             near.sort(key=lambda c: c[1])
-            _, s_best, clamp_best = near[0]
+            _, s_best, clamp_best, i_best, u_best, point_best = near[0]
             # two candidates at distinct abscissae within tolerance: genuinely ambiguous
             ambiguous = any(abs(c[1] - s_best) > 1e-6 for c in near[1:])
         total = self.total_length
@@ -219,7 +231,14 @@ class ReferencePath:
         s = min(s_best, total)
         cum = self.cumulative_lengths
         i = min(bisect_right(cum, s), len(cum) - 1)
-        qx, qy, th = self.segments[i].point_at(s - (cum[i - 1] if i > 0 else 0.0))
+        u_s = s - (cum[i - 1] if i > 0 else 0.0)
+        # the winner's own point when it is `point_at` of the same float (a
+        # signed zero compares equal to the other, so the signs are checked)
+        if (i == i_best and u_s == u_best
+                and math.copysign(1.0, u_s) == math.copysign(1.0, u_best)):
+            qx, qy, th = point_best
+        else:
+            qx, qy, th = self.segments[i].point_at(u_s)
         nx, ny = -math.sin(th), math.cos(th)
         y_signed = (px - qx) * nx + (py - qy) * ny
         return Projection(FrenetState(s, y_signed, wrap_angle(heading - th)),
@@ -242,25 +261,26 @@ class ReferencePath:
         if not 2.0 * hinted[0] + _PRUNE_SLACK < self._clearance[k]:
             return None
         cut = hinted[0] + _PRUNE_SLACK
-        n = len(self.segments)
-        candidates = []
-        for i in (k - 1, k, k + 1):
-            if i == k:
-                candidates.append(hinted)
-            elif 0 <= i < n:
-                mx, my, half = self._bounds[i]
+        bounds = self._bounds
+        candidates = [hinted]
+        for i in (k - 1, k + 1):
+            if 0 <= i < len(bounds):
+                mx, my, half = bounds[i]
                 if math.hypot(px - mx, py - my) - half <= cut:
-                    candidates.append(self._candidate(i, px, py))
+                    # k - 1 goes before k, k + 1 after it
+                    candidates.insert(0 if i < k else len(candidates),
+                                      self._candidate(i, px, py))
         return candidates
 
-    def _candidate(self, i: int, px: float, py: float) -> tuple[float, float, bool]:
-        """(distance, s, clamped) of the closest point on segment i."""
+    def _candidate(self, i: int, px: float, py: float):
+        """(distance, s, clamped, i, u, point) of the closest point on segment
+        i, at arc length u on it; point is `point_at(u)`, (x, y, heading)."""
         seg = self.segments[i]
         u, clamped = _project_segment(seg, px, py)
-        x, y, _ = seg.point_at(u)
+        point = seg.point_at(u)
         # cumulative start + u: the same float as a running sum of lengths
         s0 = self.cumulative_lengths[i - 1] if i > 0 else 0.0
-        return math.hypot(px - x, py - y), s0 + u, clamped
+        return math.hypot(px - point[0], py - point[1]), s0 + u, clamped, i, u, point
 
 
 def _project_segment(seg: PathSegment, px: float, py: float) -> tuple[float, bool]:
@@ -270,14 +290,13 @@ def _project_segment(seg: PathSegment, px: float, py: float) -> tuple[float, boo
     """
     if seg.curvature == 0.0:
         x0, y0 = seg.start
-        tx, ty = math.cos(seg.start_heading), math.sin(seg.start_heading)
-        u = (px - x0) * tx + (py - y0) * ty
+        u = (px - x0) * seg._cos + (py - y0) * seg._sin
         if u < 0.0:
             return 0.0, True
         if u > seg.length:
             return seg.length, True
         return u, False
-    cx, cy = seg.center()
+    cx, cy = seg._center
     c = seg.curvature
     ang = math.atan2(py - cy, px - cx)
     # radial direction at arc length u has angle (h + c*u) -/+ pi/2 for c >/< 0
@@ -285,7 +304,7 @@ def _project_segment(seg: PathSegment, px: float, py: float) -> tuple[float, boo
         u = (ang + math.pi / 2 - seg.start_heading) / c
     else:
         u = (ang - math.pi / 2 - seg.start_heading) / c
-    period = _TWO_PI / abs(c)
+    period = seg._period
     u = math.fmod(u, period)
     if u < 0.0:
         u += period
@@ -293,7 +312,7 @@ def _project_segment(seg: PathSegment, px: float, py: float) -> tuple[float, boo
         return u, False
     # off the swept arc: nearer endpoint wins
     d_start = math.hypot(px - seg.start[0], py - seg.start[1])
-    ex, ey, _ = seg.end_pose()
+    ex, ey, _ = seg._end
     d_end = math.hypot(px - ex, py - ey)
     return (0.0, True) if d_start <= d_end else (seg.length, True)
 

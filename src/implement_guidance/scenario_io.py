@@ -125,7 +125,7 @@ def _non_negative(d: dict, key: str, default: float) -> float:
     x = _num(d, key, default)
     if x < 0:
         raise ScenarioError(f"line {d[key].line}: key {key!r}: must be >= 0, got {d[key]!r}")
-    return x + 0.0  # -0.0 becomes 0.0: numpy's normal() rejects a negative-signed scale
+    return x + 0.0  # -0.0 becomes 0.0, so the scenario echo shows 0.0
 
 
 def is_seed(text: str) -> bool:

@@ -114,19 +114,29 @@ def integrate_pose(pose: VehiclePose, steer_fn: Callable[[float], float],
 
     The derivative (v cos psi, v sin psi, v tan(steer) / L) depends on the
     stage state through psi only, and its yaw rate on the stage time only, so
-    steer_fn runs once per distinct stage time (t0, t0 + dt/2, t0 + dt).
+    steer_fn runs once per distinct stage time (t0, t0 + dt/2, t0 + dt). A
+    stage whose steer is the same object as stage 1's (a held command) reuses
+    stage 1's yaw rate, and then stage 3 has stage 2's heading; an equal but
+    distinct float is not reused, so signed zeros stay exact.
     """
     v, L = cfg.speed, cfg.wheelbase
     x, y, psi = pose.x, pose.y_world, pose.heading
-    w1 = v * math.tan(steer_fn(t0)) / L
-    w2 = v * math.tan(steer_fn(t0 + dt / 2)) / L  # stages 2 and 3
-    w4 = v * math.tan(steer_fn(t0 + dt)) / L
-    psi2 = psi + dt / 2 * w1
-    psi3 = psi + dt / 2 * w2
+    half = dt / 2
+    d1 = steer_fn(t0)
+    d2 = steer_fn(t0 + half)  # stages 2 and 3
+    d4 = steer_fn(t0 + dt)
+    w1 = v * math.tan(d1) / L
+    w2 = w1 if d2 is d1 else v * math.tan(d2) / L
+    w4 = w1 if d4 is d1 else v * math.tan(d4) / L
+    psi2 = psi + half * w1
     psi4 = psi + dt * w2
     k1x, k1y = v * math.cos(psi), v * math.sin(psi)
     k2x, k2y = v * math.cos(psi2), v * math.sin(psi2)
-    k3x, k3y = v * math.cos(psi3), v * math.sin(psi3)
+    if d2 is d1:  # psi3 = psi + dt/2 * w1 = psi2
+        k3x, k3y = k2x, k2y
+    else:
+        psi3 = psi + half * w2
+        k3x, k3y = v * math.cos(psi3), v * math.sin(psi3)
     k4x, k4y = v * math.cos(psi4), v * math.sin(psi4)
     return VehiclePose(x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x),
                        y + dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y),

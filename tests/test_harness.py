@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from implement_guidance import harness
 from implement_guidance.errors import ParameterError
 from implement_guidance.harness import (
     CSV_HEADER,
@@ -57,6 +58,19 @@ def test_scenario_validation():
             straight_scenario(initial_s=initial_s)
 
 
+@pytest.mark.parametrize("name", ["y_std", "theta_std", "omega_std"])
+@pytest.mark.parametrize("value", [-0.01, -1e-300, math.nan, math.inf, -math.inf])
+def test_noise_spec_rejects_negative_or_non_finite_std(name, value):
+    with pytest.raises(ParameterError, match=name):
+        NoiseSpec(enabled=True, **{name: value})
+
+
+def test_noise_spec_accepts_zero_std():
+    spec = NoiseSpec(enabled=True, y_std=0.0, theta_std=0.0, omega_std=0.0)
+    log = run_scenario(straight_scenario(run_length=10.0, noise=spec, seed=3))
+    assert log.records == run_scenario(straight_scenario(run_length=10.0)).records
+
+
 def test_initial_lateral_for_error():
     imp = ImplementConfig(I_s=-2.0, I_y=-0.5)
     assert initial_lateral_for_error(0.5, imp) == 1.0
@@ -77,6 +91,28 @@ def test_noisy_runs_differ_for_different_seed():
     a = run_scenario(straight_scenario(seed=1, noise=noise))
     b = run_scenario(straight_scenario(seed=2, noise=noise))
     assert a.records != b.records
+
+
+@pytest.mark.parametrize("block", [2, 7, harness.NOISE_BLOCK])
+def test_block_normals_equal_scalar_normal_draws(monkeypatch, block):
+    # a run uses 0.0 + std * z for normal(0.0, std): the same float, even
+    # across a block boundary
+    monkeypatch.setattr(harness, "NOISE_BLOCK", block)
+    for seed in (0, 1, 42, 2**40 + 5):
+        for std in (0.01, 0.005, 1.0, 3.7e-3, 0.0, 1e-300):
+            rng = np.random.default_rng(seed)
+            z = harness._standard_normals(np.random.default_rng(seed))
+            for _ in range(2 * block + 3):
+                assert (0.0 + std * next(z)).hex() == float(rng.normal(0.0, std)).hex()
+
+
+def test_noisy_run_independent_of_block_size(monkeypatch):
+    scn = straight_scenario(path=build_experiment_path("exp1"), run_length=45.0, seed=7,
+                            noise=NoiseSpec(enabled=True))
+    default = run_scenario(scn)
+    monkeypatch.setattr(harness, "NOISE_BLOCK", 2)
+    assert run_scenario(scn).records == default.records
+    assert default.fault is None and len(default.records) > 4000
 
 
 def test_seed_ignored_when_noise_disabled():

@@ -397,6 +397,43 @@ def test_project_equals_full_scan_at_junctions_and_ends():
         assert any(p.ambiguous for p in projections)
 
 
+def test_project_tail_reuses_the_winning_point_only_when_exact(monkeypatch):
+    # the tail reuses the winner's point_at(u) when its own bisect names the
+    # same segment and the same u; a foot exactly at a junction or a path end
+    # (u = 0, u = length, clamped) is where it must call point_at instead
+    calls = []
+    point_at, candidate = PathSegment.point_at, ReferencePath._candidate
+    monkeypatch.setattr(PathSegment, "point_at",
+                        lambda seg, u: calls.append("point") or point_at(seg, u))
+    monkeypatch.setattr(ReferencePath, "_candidate",
+                        lambda path, *a: calls.append("candidate") or candidate(path, *a))
+    tails = set()
+    for path in PROJECTION_PATHS:
+        for s in (0.0, *path.cumulative_lengths):
+            for ds in (-2.0, -1e-9, 0.0, 1e-9, 2.0):
+                for d in (-2.0, 0.0, 1e-9, 1.5):
+                    px, py, h = _offset_point(path, s + ds, d)
+                    expected = _full_scan_project(path, (px, py), h)
+                    for hint in (None, s, s - 1e-6, s + 1e-6):
+                        calls.clear()
+                        assert path.project((px, py), h, hint) == expected
+                        # one point per candidate, plus one when the tail falls back
+                        tails.add(calls.count("point") - calls.count("candidate"))
+    assert tails == {0, 1}
+
+
+def test_project_tail_keeps_the_sign_of_a_zero_abscissa():
+    # the winner's u is -0.0 here and the tail's s - s0 is 0.0: equal, but
+    # point_at of the two differs in the sign of y, so the tail recomputes
+    path = build_path([{"kind": "line", "length_m": 5.0}], start=(0.0, -0.0),
+                      start_heading=-0.0)
+    for hint in (None, 0.0):
+        p = path.project((-0.0, -0.0), 0.0, hint)
+        expected = _full_scan_project(path, (-0.0, -0.0), 0.0)
+        assert [v.hex() for v in p.frenet] == [v.hex() for v in expected.frenet]
+        assert p.frenet.y.hex() == "0x0.0p+0"
+
+
 @given(st.sampled_from(SERPENTINES), st.floats(0.0, 1.0))
 def test_segment_index_equals_linear_scan(path, frac):
     for s in (frac * path.total_length, *path.cumulative_lengths, 0.0):

@@ -6,7 +6,14 @@ from hypothesis import given, strategies as st
 
 from implement_guidance.errors import ParameterError, SingularityError
 from implement_guidance.harness import LogRecord
-from implement_guidance.paths import FrenetState, Projection, build_path, wrap_angle
+from implement_guidance.paths import (
+    FrenetState,
+    Projection,
+    build_experiment_path,
+    build_path,
+    wrap_angle,
+)
+from implement_guidance.presets import FRONT_IMPLEMENT, REAR_IMPLEMENT
 from implement_guidance.vehicle import (
     ImplementConfig,
     Measurements,
@@ -92,6 +99,27 @@ def test_measured_vs_exact_small_angles():
         exact = implement_error_exact(pose, REAR, path)
         measured = implement_error_measured(FrenetState(10.0, y, th), REAR)
         assert abs(measured - exact) <= 5e-3
+
+
+@pytest.mark.parametrize("imp", [REAR_IMPLEMENT, FRONT_IMPLEMENT])
+def test_arc_floor_of_the_measured_error(imp):
+    # On an arc of radius R, with e_I_measured = 0 and theta_tilde = 0, the
+    # implement point sits on the tangent at the robot's abscissa, |I_s| from
+    # it, so sqrt(R^2 + I_s^2) from the center: e_I_exact is that much off the
+    # arc, about -c I_s^2 / 2 (-0.20 m on exp1's R10, +0.25 m on its R8)
+    path = build_experiment_path("exp1")
+    line, r10, r8 = path.segments
+    for arc, s0, gap in ((r10, line.length, -0.20), (r8, line.length + r10.length, 0.25)):
+        s = s0 + arc.length / 2
+        frenet = FrenetState(s, -imp.I_y, 0.0)
+        assert implement_error_measured(frenet, imp) == 0.0
+        pose = pose_on_path(path, s, lateral=-imp.I_y)
+        floor = implement_error_exact(pose, imp, path) - implement_error_measured(frenet, imp)
+        c, R = arc.curvature, 1.0 / abs(arc.curvature)
+        assert floor == pytest.approx(math.copysign(1.0, c) * (R - math.hypot(R, imp.I_s)),
+                                      abs=1e-9)
+        assert floor == pytest.approx(-c * imp.I_s ** 2 / 2, abs=0.01)
+        assert floor == pytest.approx(gap, abs=0.01)
 
 
 # ------------------------------------------------------------------ yaw rate
@@ -248,10 +276,27 @@ def test_integrate_pose_equals_four_stage_reference_bit_for_bit(
         x, y, heading, steer, t0, dt, speed, wheelbase, amplitude, omega):
     cfg = VehicleConfig(wheelbase=wheelbase, speed=speed)
     pose = VehiclePose(x, y, heading, steer)
-    for steer_fn in (lambda t: steer, lambda t: amplitude * math.sin(omega * t) + steer / 2):
+    for steer_fn in (lambda t: steer, lambda t: amplitude * math.sin(omega * t) + steer / 2,
+                     # equal to the held steer, but a new float object per call
+                     lambda t: float.fromhex(steer.hex())):
         new = integrate_pose(pose, steer_fn, t0, dt, cfg)
         assert type(new) is VehiclePose
         assert _bits(new) == _bits(_reference_integrate_pose(pose, steer_fn, t0, dt, cfg))
+
+
+def test_integrate_pose_bit_for_bit_with_signed_zero_steer():
+    # 0.0 == -0.0, but they differ in sign; a yaw rate is reused only for the
+    # same object, so every mix of signs matches the four-stage reference
+    zeros = (0.0, -0.0)
+    for x in zeros:
+        for heading in zeros:
+            pose = VehiclePose(x, x, heading, 0.0)
+            for signs in [(a, b, c) for a in zeros for b in zeros for c in zeros]:
+                def steer_fn(t, signs=signs):
+                    return signs[0] if t == 0.0 else signs[1] if t == 0.005 else signs[2]
+                new = integrate_pose(pose, steer_fn, 0.0, 0.01, CFG)
+                assert _bits(new) == _bits(
+                    _reference_integrate_pose(pose, steer_fn, 0.0, 0.01, CFG))
 
 
 def test_integrate_pose_asks_steer_once_per_stage_time():
