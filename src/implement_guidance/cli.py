@@ -11,18 +11,18 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .errors import GuidanceError, ScenarioError
 from .harness import (
     NoiseSpec,
     Scenario,
-    initial_lateral_for_error,
+    compare_methods,
     run_and_summarize,
+    sweep_horizon,
     write_csv,
 )
-from .paths import build_experiment_path
+from .paths import ReferencePath, build_experiment_path
 from .presets import TABLE1, TABLE2
 from .scenario_io import is_seed, parse_scenario, resolved_config
 from .svgplot import comparison_figure, sweep_figure
@@ -38,7 +38,10 @@ OUT_DIR_ENV = "IMPLEMENT_GUIDANCE_OUT_DIR"
 
 def _out_dir(args) -> str:
     out = args.out_dir or os.environ.get(OUT_DIR_ENV) or "out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise GuidanceError(f"cannot create output directory {out!r}: {exc.strerror}") from exc
     return out
 
 
@@ -78,46 +81,29 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _run_one_comparison(path, placement, method, seed, noise):
-    imp, params = TABLE1[(method, placement)]
-    scn = Scenario(
-        path=path, vehicle=VehicleConfig(), implement=imp,
-        method=method, params=params,
+def _base_scenario(args, path: ReferencePath) -> Scenario:
+    """The Table I rear optimal run over all of path, that compare and sweep vary."""
+    imp, params = TABLE1[("optimal", "rear")]
+    return Scenario(
+        path=path, vehicle=VehicleConfig(), implement=imp, method="optimal", params=params,
         run_length=math.floor(path.total_length - 1.0),
-        initial_y=initial_lateral_for_error(0.5, imp),
-        seed=seed, noise=NoiseSpec(enabled=noise))
-    log, summary = run_and_summarize(scn)
-    return placement, method, log, summary
+        seed=args.seed or 0, noise=NoiseSpec(enabled=_noise_flag(args) or False))
 
 
 def cmd_compare(args) -> int:
     out = _out_dir(args)
     path = build_experiment_path("exp1")
-    placements = [args.placement] if args.placement else ["front", "rear"]
-    methods = ["lateral_servoing", "backstepping", "optimal"]
-    jobs = max(1, args.jobs)
-    noise = _noise_flag(args) or False
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_one_comparison, path, p, m, args.seed or 0, noise)
-                   for p in placements for m in methods]
-        results = [f.result() for f in futures]
-    rows = []
+    placements = (args.placement,) if args.placement else ("front", "rear")
+    rows = compare_methods(_base_scenario(args, path), placements)
     per_placement: dict[str, dict] = {}
-    for placement, method, log, summary in results:
-        csv_name = f"run_{placement}_{method}.csv"
-        with open(os.path.join(out, csv_name), "w") as fh:
+    for row in rows:
+        placement, method, log = row["placement"], row["method"], row.pop("log")
+        row["csv"] = f"run_{placement}_{method}.csv"
+        with open(os.path.join(out, row["csv"]), "w") as fh:
             write_csv(log, fh)
-        rows.append({
-            "method": method, "placement": placement,
-            "reconstruction": method != "optimal",
-            "summary": summary.to_dict(),
-            "max_junction_overshoot_m":
-                max(summary.junction_overshoot.values()) if summary.junction_overshoot else 0.0,
-            "fault": log.fault, "csv": csv_name,
-        })
         per_placement.setdefault(placement, {})[method] = {
             "s": [r.s for r in log.records], "e": [r.e_I_exact for r in log.records],
-            "summary": summary.to_dict(),
+            "summary": row["summary"],
         }
     ratios = {}
     for placement in placements:
@@ -136,18 +122,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _run_one_sweep(path, params, seed, noise):
-    imp, _ = TABLE1[("optimal", "rear")]
-    scn = Scenario(
-        path=path, vehicle=VehicleConfig(), implement=imp,
-        method="optimal", params=params,
-        run_length=math.floor(path.total_length - 1.0),
-        initial_y=initial_lateral_for_error(0.5, imp),
-        seed=seed, noise=NoiseSpec(enabled=noise))
-    log, summary = run_and_summarize(scn)
-    return params, log, summary
-
-
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
     path = build_experiment_path("exp2")
@@ -162,14 +136,8 @@ def cmd_sweep(args) -> int:
         if not rows:
             print("error: no Table II row matches --horizons", file=sys.stderr)
             return EXIT_VALIDATION
-    jobs = max(1, args.jobs)
-    noise = _noise_flag(args) or False
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_one_sweep, path, p, args.seed or 0, noise)
-                   for p in rows]
-        results = sorted((f.result() for f in futures), key=lambda r: r[0].s_h)
     points = []
-    for params, log, summary in results:
+    for params, log, summary in sweep_horizon(_base_scenario(args, path), rows):
         d = summary.to_dict()
         d.update(s_h_m=params.s_h, lambda_per_m=params.lam,
                  k_theta_per_m=params.k_theta, s_t_m=params.s_t, fault=log.fault)
@@ -219,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--out-dir", default=None,
                         help=f"output directory (default: ${OUT_DIR_ENV} or ./out)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel runs for sweeps/comparisons")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored: compare and sweep run serially, "
+                             "as threads were no faster (the runs hold the GIL)")
     parser.add_argument("--seed", type=_non_negative_int, default=None,
                         help="override the scenario seed")
     parser.add_argument("--noise", choices=["on", "off"], default=None,

@@ -12,7 +12,7 @@ are flagged as such in reports.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -234,24 +234,27 @@ def lateral_servoing_control_step(meas: Measurements, params: BaselineParams,
 
 
 class Controller:
-    """Stateful wrapper: holds parameters plus a fail-safe last-command cache.
+    """Stateful wrapper: a method's step function plus a fail-safe last-command cache.
 
-    On a singularity the last valid command is re-issued with the fault flag
-    set, so the actuator never sees a non-finite or unbounded value.
+    compute(meas) returns the method's command. On a singularity the last
+    valid command is re-issued with the fault flag set, so the actuator never
+    sees a non-finite or unbounded value. horizon is the preview distance
+    ahead of the robot's abscissa, m.
     """
 
-    method = "base"
-    horizon = 0.0  # preview distance ahead of the robot's abscissa, m
-
-    def _compute(self, meas: Measurements) -> ControlCommand:
-        raise NotImplementedError
-
-    def __init__(self):
+    def __init__(self, method: str, compute: Callable[[Measurements], ControlCommand],
+                 horizon: float = 0.0):
+        self.method = method
+        self.horizon = horizon
+        self._compute = compute
         self._last = ControlCommand(delta_desired=0.0)
 
     def step(self, meas: Measurements) -> ControlCommand:
+        # loaded first: a call of self._compute(meas) looks the instance
+        # attribute up on the slower, unspecialized method path
+        compute = self._compute
         try:
-            cmd = self._compute(meas)
+            cmd = compute(meas)
         except SingularityError:
             return ControlCommand(delta_desired=self._last.delta_desired,
                                   theta_desired=self._last.theta_desired,
@@ -260,22 +263,18 @@ class Controller:
         return cmd
 
 
-class OptimalController(Controller):
-    method = "optimal"
-
-    def __init__(self, params: OptimalParams, imp: ImplementConfig, cfg: VehicleConfig):
-        super().__init__()
-        self.params, self.imp, self.cfg = params, imp, cfg
-        # The horizon starts at the leading point of the robot-implement pair:
-        # a front implement crosses a junction I_s before the robot does.
-        self.horizon = params.s_h + max(imp.I_s, 0.0)
-        self.sigma = sigma_terms(params)
-
-    def _compute(self, meas):
-        return optimal_control_step(meas, self.params, self.imp, self.cfg, self.sigma)
+def OptimalController(params: OptimalParams, imp: ImplementConfig,
+                      cfg: VehicleConfig) -> Controller:
+    sigma = sigma_terms(params)
+    # The horizon starts at the leading point of the robot-implement pair:
+    # a front implement crosses a junction I_s before the robot does.
+    return Controller("optimal",
+                      lambda meas: optimal_control_step(meas, params, imp, cfg, sigma),
+                      horizon=params.s_h + max(imp.I_s, 0.0))
 
 
-class BacksteppingController(Controller):
+def BacksteppingController(params: BaselineParams, imp: ImplementConfig,
+                           cfg: VehicleConfig) -> Controller:
     """Non-predictive baseline. In closed loop the yaw-rate coupling term is
     dropped (gamma = 0 in stage 1): feeding the yaw rate implied by the
     measured steering angle straight back into the steering command forms an
@@ -283,26 +282,21 @@ class BacksteppingController(Controller):
     tuning and destabilizes the cascade. The term vanishes at every steady
     state anyway, so the e_I' = -k_y e_I design target is preserved there.
     """
-
-    method = "backstepping"
-
-    def __init__(self, params: BaselineParams, imp: ImplementConfig, cfg: VehicleConfig):
-        super().__init__()
-        self.params, self.imp, self.cfg = params, imp, cfg
-
-    def _compute(self, meas):
-        return backstepping_control_step(
-            Measurements(meas.frenet, 0.0, meas.e_I, meas.curvature_now,
-                         meas.curvature_at_horizon),
-            self.params, self.imp, self.cfg)
+    return Controller("backstepping", lambda meas: backstepping_control_step(
+        Measurements(meas.frenet, 0.0, meas.e_I, meas.curvature_now,
+                     meas.curvature_at_horizon),
+        params, imp, cfg))
 
 
-class LateralServoingController(Controller):
-    method = "lateral_servoing"
+def LateralServoingController(params: BaselineParams, imp: ImplementConfig,
+                              cfg: VehicleConfig) -> Controller:
+    return Controller("lateral_servoing",
+                      lambda meas: lateral_servoing_control_step(meas, params, imp, cfg))
 
-    def __init__(self, params: BaselineParams, imp: ImplementConfig, cfg: VehicleConfig):
-        super().__init__()
-        self.params, self.imp, self.cfg = params, imp, cfg
 
-    def _compute(self, meas):
-        return lateral_servoing_control_step(meas, self.params, self.imp, self.cfg)
+# method name -> constructor(params, implement, vehicle config)
+CONTROLLERS = {
+    "optimal": OptimalController,
+    "backstepping": BacksteppingController,
+    "lateral_servoing": LateralServoingController,
+}

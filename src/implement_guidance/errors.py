@@ -28,6 +28,3 @@ class ParameterError(GuidanceError):
 class ScenarioError(GuidanceError):
     """A scenario file failed validation."""
 
-
-class SimulationFault(GuidanceError):
-    """A run hit a model singularity; the log is truncated at the fault."""

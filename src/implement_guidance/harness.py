@@ -15,14 +15,7 @@ from itertools import compress, groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .controllers import (
-    BacksteppingController,
-    BaselineParams,
-    Controller,
-    LateralServoingController,
-    OptimalController,
-    OptimalParams,
-)
+from .controllers import CONTROLLERS, BaselineParams, Controller, OptimalParams
 from .errors import ParameterError, SingularityError
 from .paths import FrenetState, ReferencePath
 from .presets import TABLE1, TABLE2, REAR_IMPLEMENT
@@ -89,13 +82,11 @@ class Scenario:
             raise ParameterError("control_period must be an integer multiple of dt")
 
     def make_controller(self) -> Controller:
-        if self.method == "optimal":
-            return OptimalController(self.params, self.implement, self.vehicle)
-        if self.method == "backstepping":
-            return BacksteppingController(self.params, self.implement, self.vehicle)
-        if self.method == "lateral_servoing":
-            return LateralServoingController(self.params, self.implement, self.vehicle)
-        raise ParameterError(f"unknown controller method {self.method!r}")
+        try:
+            make = CONTROLLERS[self.method]
+        except KeyError:
+            raise ParameterError(f"unknown controller method {self.method!r}") from None
+        return make(self.params, self.implement, self.vehicle)
 
 
 class LogRecord(NamedTuple):
@@ -309,18 +300,18 @@ def run_and_summarize(scn: Scenario) -> tuple[RunLog, RunSummary]:
 
 
 def sweep_horizon(base: Scenario, rows: list[OptimalParams] | None = None
-                  ) -> list[tuple[float, RunSummary]]:
+                  ) -> list[tuple[OptimalParams, RunLog, RunSummary]]:
     """One run per horizon row on the base scenario's path; rear implement.
 
-    Per-row faults are recorded in the summaries and the sweep continues.
+    Returns (params, log, summary) in order of s_h. Per-row faults are
+    recorded in the logs and summaries and the sweep continues.
     """
     rows = TABLE2 if rows is None else rows
     results = []
     for params in sorted(rows, key=lambda p: p.s_h):
         scn = replace(base, method="optimal", params=params, implement=REAR_IMPLEMENT,
                       initial_y=initial_lateral_for_error(0.5, REAR_IMPLEMENT))
-        _, summary = run_and_summarize(scn)
-        results.append((params.s_h, summary))
+        results.append((params, *run_and_summarize(scn)))
     return results
 
 
@@ -328,7 +319,8 @@ def compare_methods(scn_template: Scenario, placements: tuple[str, ...] = ("fron
                     methods: tuple[str, ...] = ("lateral_servoing", "backstepping", "optimal")
                     ) -> list[dict]:
     """Run each method/placement with its experiment-1 preset on the template
-    path and report summaries plus junction overshoots."""
+    path and report summaries plus junction overshoots; each row holds its
+    run's RunLog under "log"."""
     results = []
     for placement in placements:
         for method in methods:
@@ -344,6 +336,7 @@ def compare_methods(scn_template: Scenario, placements: tuple[str, ...] = ("fron
                 "max_junction_overshoot_m":
                     max(summary.junction_overshoot.values()) if summary.junction_overshoot else 0.0,
                 "fault": log.fault,
+                "log": log,
             })
     return results
 

@@ -34,9 +34,3 @@ TABLE2 = [
     OptimalParams(lam=0.2, k_theta=0.6, s_h=3.5, s_t=0.10),
 ]
 
-
-def table1_preset(method: str, placement: str):
-    try:
-        return TABLE1[(method, placement)]
-    except KeyError:
-        raise KeyError(f"no preset for method={method!r}, placement={placement!r}") from None

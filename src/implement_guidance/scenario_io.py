@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .controllers import BaselineParams, OptimalParams
+from .controllers import CONTROLLERS, BaselineParams, OptimalParams
 from .errors import GuidanceError, ParameterError, ScenarioError
 from .harness import NoiseSpec, Scenario, initial_lateral_for_error
 from .paths import PRESET_DESCRIPTORS, build_path
@@ -205,7 +205,7 @@ def _build_controller(d: dict):
             defaults = {"k_y_per_m": params_p.k_y, "k_theta_per_m": params_p.k_theta}
     if method is None:
         method = "optimal"
-    if method not in ("optimal", "backstepping", "lateral_servoing"):
+    if method not in CONTROLLERS:
         raise ScenarioError(f"key 'method': unknown method {method!r}")
     try:
         if method == "optimal":

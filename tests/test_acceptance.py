@@ -152,8 +152,8 @@ def test_criterion_4_interior_optimal_horizon():
                     params=params, run_length=math.floor(path.total_length - 1.0),
                     initial_y=initial_lateral_for_error(0.5, imp))
     results = sweep_horizon(base)
-    hs = [h for h, _ in results]
-    med = [summary.median_abs_e for _, summary in results]
+    hs = [p.s_h for p, _, _ in results]
+    med = [summary.median_abs_e for _, _, summary in results]
     i = int(np.argmin(med))
     interior = 0 < i < len(hs) - 1
     margin_lo = 1.0 - med[i] / med[0]

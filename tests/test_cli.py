@@ -103,6 +103,19 @@ def test_out_dir_env_var(scn_file, tmp_path, monkeypatch):
     assert (target / "run.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["compare"], ["sweep", "--horizons", "0.5"]])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_unusable_out_dir_exits_2(command, below, scn_file, tmp_path, capsys):
+    # the output directory is an existing file, or lies below one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    if command == ["run"]:
+        command = ["run", scn_file]
+    assert main(["--out-dir", str(out)] + command) == 2
+    assert "error: cannot create output directory" in capsys.readouterr().err
+
+
 def test_compare_emits_six_configurations(tmp_path):
     out = tmp_path / "cmp"
     assert main(["--out-dir", str(out), "--jobs", "4", "compare"]) == 0

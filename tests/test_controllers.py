@@ -8,6 +8,7 @@ from implement_guidance import controllers
 from implement_guidance.controllers import (
     BacksteppingController,
     BaselineParams,
+    Controller,
     LateralServoingController,
     OptimalController,
     OptimalParams,
@@ -400,6 +401,32 @@ def test_lateral_servoing_trivials_and_convergence():
                    initial_y=initial_lateral_for_error(0.5, imp))
     log = run_scenario(scn)
     assert abs(log.records[-1].e_I_exact) < 0.02
+
+
+def test_backstepping_controller_ignores_measured_yaw_rate():
+    imp, params = TABLE1[("backstepping", "rear")]
+    still = meas_of(y=0.3, theta=0.1, omega=0.0, imp=imp)
+    turning = meas_of(y=0.3, theta=0.1, omega=0.4, imp=imp)
+    # the step function itself reads omega_bar; the controller zeroes it first
+    assert (backstepping_control_step(still, params, imp, CFG)
+            != backstepping_control_step(turning, params, imp, CFG))
+    cmd = BacksteppingController(params, imp, CFG).step(turning)
+    assert cmd == BacksteppingController(params, imp, CFG).step(still)
+    assert not cmd.fault
+
+
+# ------------------------------------------------------------- construction
+
+@pytest.mark.parametrize("make, params, method, horizon", [
+    (OptimalController, REAR_PARAMS, "optimal", REAR_PARAMS.s_h),
+    (BacksteppingController, BaselineParams(0.2, 0.6), "backstepping", 0.0),
+    (LateralServoingController, BaselineParams(0.1, 0.8), "lateral_servoing", 0.0),
+])
+def test_constructors_return_the_one_controller_class(make, params, method, horizon):
+    ctrl = make(params, REAR, CFG)
+    assert type(ctrl) is Controller
+    assert ctrl.method == method
+    assert ctrl.horizon == horizon
 
 
 # ------------------------------------------------------------------ fail-safe

@@ -319,9 +319,9 @@ def test_summarize_empty_log_rejected():
 def test_sweep_horizon_rows_sorted_and_complete():
     base = straight_scenario(path=build_experiment_path("exp2"), run_length=50.0)
     results = sweep_horizon(base, rows=[TABLE2[4], TABLE2[0], TABLE2[6]])
-    hs = [h for h, _ in results]
+    hs = [p.s_h for p, _, _ in results]
     assert hs == sorted(hs) and hs == [0.5, 2.5, 3.5]
-    for _, summary in results:
+    for _, _, summary in results:
         assert summary.n_samples > 0
 
 
