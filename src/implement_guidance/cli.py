@@ -56,7 +56,6 @@ def _write_json(path: str, obj) -> None:
 
 
 def cmd_run(args) -> int:
-    out = _out_dir(args)
     try:
         with open(args.scenario) as fh:
             text = fh.read()
@@ -68,6 +67,7 @@ def cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    out = _out_dir(args)  # made only once the scenario parsed
     log, summary = run_and_summarize(scn)
     with open(os.path.join(out, "run.csv"), "w") as fh:
         write_csv(log, fh)

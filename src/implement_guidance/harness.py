@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .controllers import CONTROLLERS, BaselineParams, Controller, OptimalParams
 from .errors import ParameterError, SingularityError
-from .paths import FrenetState, ReferencePath
+from .paths import FrenetState, Projection, ReferencePath
 from .presets import TABLE1, TABLE2, REAR_IMPLEMENT
 from .vehicle import (
     ImplementConfig,
@@ -72,8 +72,15 @@ class Scenario:
     def __post_init__(self):
         if self.run_length > self.path.total_length:
             raise ParameterError("run_length exceeds path total_length")
+        # NaN and +inf fail here, and run_length <= total_length bounds s above
         if not self.initial_s < self.run_length:
             raise ParameterError("initial_s must be below run_length")
+        if not self.initial_s >= 0.0:
+            raise ParameterError(f"initial_s must lie in [0, {self.path.total_length!r}], "
+                                 f"got {self.initial_s!r}")
+        for name in ("initial_y", "initial_theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.dt > 0:
             raise ParameterError("dt must be > 0")
         ratio = self.control_period / self.dt
@@ -156,7 +163,9 @@ def run_scenario(scn: Scenario) -> RunLog:
 
         z = _standard_normals(np.random.default_rng(scn.seed)).__next__
     pose = pose_on_path(path, scn.initial_s, scn.initial_y, scn.initial_theta)
-    frenet = FrenetState(s=scn.initial_s, y=scn.initial_y, theta_tilde=scn.initial_theta)
+    # the plant state is (pose, proj); the start state is given, not projected
+    proj = Projection(FrenetState(scn.initial_s, scn.initial_y, scn.initial_theta),
+                      path.segment_index(scn.initial_s))
     log = RunLog()
     n_ctrl = round(scn.control_period / scn.dt)
     max_steps = int(3 * scn.run_length / (scn.vehicle.speed * scn.dt)) + n_ctrl
@@ -166,11 +175,11 @@ def run_scenario(scn: Scenario) -> RunLog:
     for i in range(max_steps):
         if i % n_ctrl == 0:
             try:
-                meas = measure(pose, frenet, path, scn.vehicle, scn.implement,
+                meas = measure(pose, proj, path, scn.vehicle, scn.implement,
                                controller.horizon)
             except SingularityError as exc:
                 log.fault = str(exc)
-                _append(log, t, pose, frenet, scn, path, delta_cmd, theta_d, fault=True)
+                _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
                 break
             if noise.enabled:
                 # 0.0 + std * z is normal(0.0, std) bit for bit, drawn y, theta, omega
@@ -185,17 +194,17 @@ def run_scenario(scn: Scenario) -> RunLog:
             theta_d = cmd.theta_desired
             if cmd.fault:
                 log.fault = "controller singularity fail-safe"
-                _append(log, t, pose, frenet, scn, path, delta_cmd, theta_d, fault=True)
+                _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
                 break
-        _append(log, t, pose, frenet, scn, path, delta_cmd, theta_d, fault=False)
-        if frenet.s >= scn.run_length:
+        _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=False)
+        if proj.frenet.s >= scn.run_length:
             break
         try:
-            pose, frenet = step(pose, frenet, delta_cmd, scn.dt, path, scn.vehicle)
+            pose, proj = step(pose, proj, delta_cmd, scn.dt, path, scn.vehicle)
         except SingularityError as exc:
             log.fault = str(exc)
             t += scn.dt
-            _append(log, t, pose, frenet, scn, path, delta_cmd, theta_d, fault=True)
+            _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
             break
         t += scn.dt
     return log
@@ -208,7 +217,8 @@ def _standard_normals(rng):
         yield from rng.standard_normal(NOISE_BLOCK).tolist()
 
 
-def _append(log, t, pose, frenet, scn, path, delta_cmd, theta_d, fault):
+def _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault):
+    frenet = proj.frenet
     s, y, theta_tilde = frenet
     imp = scn.implement
     # positional, in LogRecord field order: keywords would double the cost of the record
@@ -217,7 +227,7 @@ def _append(log, t, pose, frenet, scn, path, delta_cmd, theta_d, fault):
         implement_error_exact(pose, imp, path, s + imp.I_s),
         implement_error_measured(frenet, imp),
         delta_cmd, pose.steer, theta_d,
-        path.segment_label(min(s, path.total_length)),
+        path.labels[proj.segment],
         fault,
     ))
 
@@ -366,8 +376,13 @@ def read_csv(fh) -> RunLog:
     if header != CSV_HEADER:
         raise ParameterError(f"unexpected CSV header: {header!r}")
     log = RunLog()
-    for line in fh:
+    for n, line in enumerate(fh, start=2):
         parts = line.rstrip("\n").split(",")
-        vals = [float(p) for p in parts[:9]]
-        log.records.append(LogRecord(*vals, segment=parts[9], fault=parts[10] == "1"))
+        try:
+            if len(parts) != len(LogRecord._fields):
+                raise ValueError(f"{len(parts)} fields, expected {len(LogRecord._fields)}")
+            vals = [float(p) for p in parts[:9]]
+        except ValueError as exc:
+            raise ParameterError(f"CSV line {n}: {exc}") from None
+        log.records.append(LogRecord(*vals, parts[9], parts[10] == "1"))
     return log

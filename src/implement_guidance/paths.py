@@ -101,6 +101,7 @@ class FrenetState(NamedTuple):
 class Projection(NamedTuple):
     """Result of projecting a world pose onto the path."""
     frenet: FrenetState
+    segment: int             # segment_index(frenet.s), found on the way
     clamped: bool = False    # nearest point was a path endpoint, s clamped
     ambiguous: bool = False  # multiple global minimizers, smallest s chosen
 
@@ -230,8 +231,16 @@ class ReferencePath:
         # the point at s as `point_at(s)` finds it, less the range check: s_best >= 0
         s = min(s_best, total)
         cum = self.cumulative_lengths
-        i = min(bisect_right(cum, s), len(cum) - 1)
-        u_s = s - (cum[i - 1] if i > 0 else 0.0)
+        # the winner's segment when it holds s as `segment_index` would find
+        # it; else (at a junction, the path end, or between two equal
+        # cumulative lengths) the bisect
+        s0 = cum[i_best - 1] if i_best > 0 else 0.0
+        if s0 <= s < cum[i_best]:
+            i = i_best
+        else:
+            i = min(bisect_right(cum, s), len(cum) - 1)
+            s0 = cum[i - 1] if i > 0 else 0.0
+        u_s = s - s0
         # the winner's own point when it is `point_at` of the same float (a
         # signed zero compares equal to the other, so the signs are checked)
         if (i == i_best and u_s == u_best
@@ -241,7 +250,7 @@ class ReferencePath:
             qx, qy, th = self.segments[i].point_at(u_s)
         nx, ny = -math.sin(th), math.cos(th)
         y_signed = (px - qx) * nx + (py - qy) * ny
-        return Projection(FrenetState(s, y_signed, wrap_angle(heading - th)),
+        return Projection(FrenetState(s, y_signed, wrap_angle(heading - th)), i,
                           clamped, ambiguous)
 
     def _bound_pass(self, px: float, py: float, k: int = -1, hinted=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ParameterError, SingularityError
-from .paths import FrenetState, ReferencePath, wrap_angle
+from .paths import FrenetState, Projection, ReferencePath, wrap_angle
 
 SINGULARITY_EPS = 1e-6
 
@@ -95,17 +95,16 @@ def _yaw_rate(steer: float, frenet: FrenetState, c: float, cfg: VehicleConfig) -
                         - c * math.cos(frenet.theta_tilde) / denom)
 
 
-def measure(pose: VehiclePose, frenet: FrenetState, path: ReferencePath,
+def measure(pose: VehiclePose, proj: Projection, path: ReferencePath,
             cfg: VehicleConfig, imp: ImplementConfig, horizon: float) -> Measurements:
-    """Assemble the measurement bundle the controllers consume."""
-    c = path.curvature_at(frenet.s)
-    return Measurements(
-        frenet=frenet,
-        omega_bar=_yaw_rate(pose.steer, frenet, c, cfg),
-        e_I=implement_error_measured(frenet, imp),
-        curvature_now=c,
-        curvature_at_horizon=path.curvature_ahead(frenet.s, horizon),
-    )
+    """Assemble the measurement bundle the controllers consume at the robot's
+    projection; c(s) is read from the segment it carries."""
+    frenet = proj.frenet
+    c = path.segments[proj.segment].curvature
+    # positional, in Measurements field order: keywords cost about twice as much
+    return Measurements(frenet, _yaw_rate(pose.steer, frenet, c, cfg),
+                        implement_error_measured(frenet, imp), c,
+                        path.curvature_ahead(frenet.s, horizon))
 
 
 def integrate_pose(pose: VehiclePose, steer_fn: Callable[[float], float],
@@ -151,26 +150,27 @@ def apply_steer_command(steer: float, steer_cmd: float, dt: float, cfg: VehicleC
     return steer + max(-max_step, min(max_step, target - steer))
 
 
-def step(pose: VehiclePose, frenet: FrenetState, steer_cmd: float, dt: float,
-         path: ReferencePath, cfg: VehicleConfig) -> tuple[VehiclePose, FrenetState]:
+def step(pose: VehiclePose, proj: Projection, steer_cmd: float, dt: float,
+         path: ReferencePath, cfg: VehicleConfig) -> tuple[VehiclePose, Projection]:
     """Advance the plant by dt under a zero-order-hold steering command.
 
-    Raises SingularityError when the osculating-circle guard |1 - c*y| trips.
+    The plant state is the pose and its projection, which carries the segment
+    of its abscissa. Raises SingularityError when the osculating-circle guard
+    |1 - c*y| trips before or after the step.
     """
     if dt <= 0:
         raise ParameterError("dt must be > 0")
-    c = path.curvature_at(frenet.s)
-    if abs(1.0 - c * frenet.y) < SINGULARITY_EPS:
+    frenet = proj.frenet
+    if abs(1.0 - path.segments[proj.segment].curvature * frenet.y) < SINGULARITY_EPS:
         raise SingularityError(f"1 - c*y guard tripped at s={frenet.s}")
     new_steer = apply_steer_command(pose.steer, steer_cmd, dt, cfg)
     moved = integrate_pose(VehiclePose(pose.x, pose.y_world, pose.heading, new_steer),
                            lambda t: new_steer, 0.0, dt, cfg)
-    proj = path.project((moved.x, moved.y_world), moved.heading, frenet.s)
-    new_frenet = proj.frenet
-    c_new = path.curvature_at(new_frenet.s)
-    if abs(1.0 - c_new * new_frenet.y) < SINGULARITY_EPS:
+    new_proj = path.project((moved.x, moved.y_world), moved.heading, frenet.s)
+    new_frenet = new_proj.frenet
+    if abs(1.0 - path.segments[new_proj.segment].curvature * new_frenet.y) < SINGULARITY_EPS:
         raise SingularityError(f"1 - c*y guard tripped at s={new_frenet.s}")
-    return moved, new_frenet
+    return moved, new_proj
 
 
 def pose_on_path(path: ReferencePath, s: float, lateral: float = 0.0,

@@ -116,6 +116,18 @@ def test_unusable_out_dir_exits_2(command, below, scn_file, tmp_path, capsys):
     assert "error: cannot create output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["missing", "bad"])
+def test_failed_run_leaves_no_out_dir(scenario, tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    if scenario == "bad":
+        path.write_text(MINI.replace("length_m 25", "length_m 99"))  # beyond the path
+    out = tmp_path / "fo" / "x"
+    assert main(["--out-dir", str(out), "run", str(path)]) == 2
+    assert ("cannot read scenario" if scenario == "missing"
+            else "scenario error") in capsys.readouterr().err
+    assert not (tmp_path / "fo").exists()
+
+
 def test_compare_emits_six_configurations(tmp_path):
     out = tmp_path / "cmp"
     assert main(["--out-dir", str(out), "--jobs", "4", "compare"]) == 0

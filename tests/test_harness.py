@@ -58,6 +58,19 @@ def test_scenario_validation():
             straight_scenario(initial_s=initial_s)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("initial_s", -1.0), ("initial_s", -1e-300), ("initial_s", -math.inf),
+    ("initial_s", math.inf), ("initial_s", math.nan),
+    ("initial_y", math.nan), ("initial_y", math.inf), ("initial_y", -math.inf),
+    ("initial_theta", math.nan), ("initial_theta", math.inf), ("initial_theta", -math.inf),
+])
+def test_scenario_rejects_a_bad_start_state(name, value):
+    # unchecked, a NaN start logged NaN records, an infinite heading raised a
+    # bare ValueError and a negative s a RangeError, from run_scenario
+    with pytest.raises(ParameterError, match=name):
+        straight_scenario(**{name: value})
+
+
 @pytest.mark.parametrize("name", ["y_std", "theta_std", "omega_std"])
 @pytest.mark.parametrize("value", [-0.01, -1e-300, math.nan, math.inf, -math.inf])
 def test_noise_spec_rejects_negative_or_non_finite_std(name, value):
@@ -181,6 +194,25 @@ def test_hinted_and_full_projection_give_equal_runs(monkeypatch):
         logs.append(log)
     # the field run went through the headland turn
     assert {r.segment for r in logs[0].records} >= {"L2", "C2", "L3"}
+
+
+@pytest.mark.parametrize("which", ["field", "line_100hz"])
+def test_plant_step_looks_up_no_segment(monkeypatch, which):
+    # the plant state carries its segment: only the controller's preview
+    # looks one up, once per control step, plus the start state's
+    calls = []
+    segment_index = ReferencePath.segment_index
+    monkeypatch.setattr(ReferencePath, "segment_index",
+                        lambda path, s: calls.append(s) or segment_index(path, s))
+    if which == "field":
+        scn = _closed_loop_scenarios()[0]
+    else:
+        scn = straight_scenario(run_length=20.0, control_period=0.01)
+    log = run_scenario(scn)
+    n_ctrl = round(scn.control_period / scn.dt)
+    control_steps = -(-len(log.records) // n_ctrl)
+    assert log.fault is None and len(log.records) > 1000
+    assert len(calls) <= control_steps + 2
 
 
 # ------------------------------------------------------------------- faults
@@ -395,6 +427,12 @@ def test_csv_round_trip_byte_identical():
 def test_csv_bad_header_rejected():
     with pytest.raises(ParameterError):
         read_csv(io.StringIO("time,s\n0,0\n"))
+    good = "0.0,1.0,0.2,0.1,0.0,0.0,0.0,0.0,0.0,L1,0\n"
+    # a short row and a non-number: ParameterError naming the line
+    with pytest.raises(ParameterError, match="line 3"):
+        read_csv(io.StringIO(CSV_HEADER + "\n" + good + "0.0,1.0,0.2\n"))
+    with pytest.raises(ParameterError, match="line 2"):
+        read_csv(io.StringIO(CSV_HEADER + "\n" + good.replace("0.2", "abc") + good))
 
 
 def test_run_and_summarize_reports_junctions():

@@ -327,7 +327,7 @@ def _full_scan_project(path, position, heading):
     y_signed = -(px - qx) * math.sin(th) + (py - qy) * math.cos(th)
     return Projection(frenet=FrenetState(s=s_best, y=y_signed,
                                          theta_tilde=wrap_angle(heading - th)),
-                      clamped=clamped, ambiguous=ambiguous)
+                      segment=i, clamped=clamped, ambiguous=ambiguous)
 
 
 def serpentine(rows, row, radius, start=(0.0, 0.0), start_heading=0.0, entry=()):
@@ -432,6 +432,18 @@ def test_project_tail_keeps_the_sign_of_a_zero_abscissa():
         expected = _full_scan_project(path, (-0.0, -0.0), 0.0)
         assert [v.hex() for v in p.frenet] == [v.hex() for v in expected.frenet]
         assert p.frenet.y.hex() == "0x0.0p+0"
+
+
+def test_projection_segment_where_two_cumulative_lengths_are_equal():
+    # 1 m after 1e17 m leaves the cumulative length unchanged: a foot at
+    # s = 1e17 won on segment 0 belongs to segment 1, as segment_index says
+    path = build_path([{"kind": "line", "length_m": 1e17}, {"kind": "line", "length_m": 1.0}])
+    assert path.cumulative_lengths[0] == path.cumulative_lengths[1]
+    for x in (1e17 - 64.0, 1e17, 1e17 + 0.5, 1e17 + 64.0):
+        for hint in (None, 0.0, 1e17):
+            p = path.project((x, 1.0), 0.0, hint)
+            assert p == _full_scan_project(path, (x, 1.0), 0.0)
+            assert p.segment == path.segment_index(p.frenet.s)
 
 
 @given(st.sampled_from(SERPENTINES), st.floats(0.0, 1.0))

@@ -146,7 +146,8 @@ def test_yaw_rate_singularity_guard():
 def test_step_straight_line_advance():
     path = straight()
     pose = pose_on_path(path, 5.0)
-    new_pose, f = step(pose, FrenetState(5.0, 0.0, 0.0), 0.0, 1.0, path, CFG)
+    new_pose, p = step(pose, Projection(FrenetState(5.0, 0.0, 0.0), 0), 0.0, 1.0, path, CFG)
+    f = p.frenet
     assert abs(f.s - 6.0) < 1e-12
     assert abs(f.y) < 1e-12 and abs(f.theta_tilde) < 1e-12
 
@@ -162,14 +163,15 @@ def test_step_heading_rate_exact_for_constant_steer():
 def test_step_respects_dt_positive():
     path = straight()
     with pytest.raises(ParameterError):
-        step(pose_on_path(path, 1.0), FrenetState(1.0, 0.0, 0.0), 0.0, 0.0, path, CFG)
+        step(pose_on_path(path, 1.0), Projection(FrenetState(1.0, 0.0, 0.0), 0), 0.0, 0.0,
+             path, CFG)
 
 
 def test_step_singularity_guard():
     arc = build_path([{"kind": "arc", "length_m": 3.0, "curvature_per_m": 1.0}])
     pose = pose_on_path(arc, 1.0, lateral=1.0)
     with pytest.raises(SingularityError):
-        step(pose, FrenetState(1.0, 1.0, 0.0), 0.0, 0.01, arc, CFG)
+        step(pose, Projection(FrenetState(1.0, 1.0, 0.0), 0), 0.0, 0.01, arc, CFG)
 
 
 def test_frenet_projection_matches_curvilinear_model():
@@ -310,7 +312,7 @@ def test_per_step_types_are_immutable():
     frenet = FrenetState(1.0, 0.2, 0.1)
     values = [
         frenet,
-        Projection(frenet),
+        Projection(frenet, 0),
         VehiclePose(0.0, 0.0, 0.0, 0.0),
         Measurements(frenet, 0.0, 0.0, 0.0, 0.0),
         LogRecord(0.0, 1.0, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, "L1", False),
@@ -328,10 +330,10 @@ def test_curvature_matched_steady_state():
     path = build_path([{"kind": "arc", "length_m": 15.0, "curvature_per_m": 1.0 / R}])
     delta = math.atan(CFG.wheelbase / R)
     pose = pose_on_path(path, 0.0, steer=delta)
-    frenet = FrenetState(0.0, 0.0, 0.0)
+    proj = Projection(FrenetState(0.0, 0.0, 0.0), 0)
     for _ in range(1000):
-        pose, frenet = step(pose, frenet, delta, 0.01, path, CFG)
-        assert abs(frenet.y) < 1e-6
+        pose, proj = step(pose, proj, delta, 0.01, path, CFG)
+        assert abs(proj.frenet.y) < 1e-6
 
 
 # ------------------------------------------------------------ steer actuator
@@ -359,7 +361,7 @@ def test_measure_bundle():
         {"kind": "arc", "length_m": 10.0, "curvature_per_m": 0.1},
     ])
     pose = pose_on_path(path, 4.0, steer=0.1)
-    m = measure(pose, FrenetState(4.0, 0.0, 0.0), path, CFG, REAR, horizon=2.0)
+    m = measure(pose, Projection(FrenetState(4.0, 0.0, 0.0), 0), path, CFG, REAR, horizon=2.0)
     assert m.curvature_now == 0.0
     assert m.curvature_at_horizon == 0.1
     assert m.e_I == implement_error_measured(m.frenet, REAR)
