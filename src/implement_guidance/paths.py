@@ -22,6 +22,8 @@ _TWO_PI = 2.0 * math.pi
 _PRUNE_SLACK = 1e-6
 # Padding on a segment's bounding box: covers the float error of `point_at`.
 _BOX_PAD = 1e-9
+_HALF_PI = math.pi / 2
+_new_tuple = tuple.__new__
 
 
 def wrap_angle(a: float) -> float:
@@ -181,8 +183,15 @@ class ReferencePath:
         return self.segments[self.segment_index(s)].curvature
 
     def curvature_ahead(self, s: float, ds: float) -> float:
-        """Curvature at s + ds, clamped to the path end (preview lookup)."""
-        return self.curvature_at(min(max(s + ds, 0.0), self.total_length))
+        """Curvature at s + ds, clamped to the path end (preview lookup).
+
+        `curvature_at` of the clamped abscissa, less its range check: the
+        clamp leaves [0, total_length] only for NaN, which both send to the
+        last segment.
+        """
+        s = min(max(s + ds, 0.0), self.total_length)
+        return self.segments[min(bisect_right(self.cumulative_lengths, s),
+                                 len(self.segments) - 1)].curvature
 
     def project(self, position: tuple[float, float], heading: float,
                 s_hint: float | None = None) -> Projection:
@@ -206,35 +215,109 @@ class ReferencePath:
         every bound is computed as without a hint, and d_k, when below the
         distance to the segment with the smallest bound, tightens the cut.
         The hint changes the cost, never the result.
+
+        k's foot is computed here, with the float operations of
+        `_project_segment` and `point_at` in their order. When k alone is
+        certified, it goes straight to the tail with the normal of its
+        heading, and the tail evaluates k again in place only where the
+        final abscissa rounds to another u. Otherwise it is the candidate
+        that `_candidate` would give, so k is evaluated once either way.
         """
         px, py = position
+        cum = self.cumulative_lengths
         if s_hint is None:
             candidates = self._bound_pass(px, py)
         else:
-            k = min(bisect_right(self.cumulative_lengths, s_hint), len(self.segments) - 1)
-            hinted = self._candidate(k, px, py)
-            candidates = (self._hinted_candidates(k, hinted, px, py)
-                          or self._bound_pass(px, py, k, hinted))
-        if len(candidates) == 1:
-            _, s_best, clamp_best, i_best, u_best, point_best = candidates[0]
-            ambiguous = False
-        else:
-            d_best = min(c[0] for c in candidates)
-            near = [c for c in candidates if c[0] <= d_best + 1e-9]
-            near.sort(key=lambda c: c[1])
-            _, s_best, clamp_best, i_best, u_best, point_best = near[0]
-            # two candidates at distinct abscissae within tolerance: genuinely ambiguous
-            ambiguous = any(abs(c[1] - s_best) > 1e-6 for c in near[1:])
+            k = min(bisect_right(cum, s_hint), len(cum) - 1)
+            seg = self.segments[k]
+            c = seg.curvature
+            length = seg.length
+            clamp_best = False
+            if c == 0.0:
+                x0, y0 = seg.start
+                cos_h, sin_h = seg._cos, seg._sin
+                u_best = (px - x0) * cos_h + (py - y0) * sin_h
+                if u_best < 0.0:
+                    u_best, clamp_best = 0.0, True
+                elif u_best > length:
+                    u_best, clamp_best = length, True
+                qx, qy, th = x0 + u_best * cos_h, y0 + u_best * sin_h, seg.start_heading
+                # -sin(th), cos(th): th is the start heading they were taken of
+                nx, ny = -sin_h, cos_h
+            else:
+                cx, cy = seg._center
+                h0 = seg.start_heading
+                ang = math.atan2(py - cy, px - cx)
+                # radial direction at arc length u has angle (h0 + c*u) -/+ pi/2
+                if c > 0:
+                    u_best = (ang + _HALF_PI - h0) / c
+                else:
+                    u_best = (ang - _HALF_PI - h0) / c
+                period = seg._period
+                u_best = math.fmod(u_best, period)
+                if u_best < 0.0:
+                    u_best += period
+                if u_best > length:
+                    # off the swept arc: nearer endpoint wins
+                    (sx, sy), (ex, ey, _) = seg.start, seg._end
+                    u_best = (0.0 if math.hypot(px - sx, py - sy) <= math.hypot(px - ex, py - ey)
+                              else length)
+                    clamp_best = True
+                a = h0 + c * u_best
+                sin_a, cos_a = math.sin(a), math.cos(a)
+                qx, qy = cx + sin_a / c, cy - cos_a / c
+                if -math.pi < a <= math.pi:
+                    # wrap_angle(a) is a itself, so the heading's sin and cos are these
+                    th, nx, ny = a, -sin_a, cos_a
+                else:
+                    th, nx = wrap_angle(a), None
+            d_best = math.hypot(px - qx, py - qy)
+            # cumulative start + u: the same float as a running sum of lengths
+            s0 = cum[k - 1] if k > 0 else 0.0
+            s_best, i_best, in_place = s0 + u_best, k, True
+            before = after = None
+            certified = 2.0 * d_best + _PRUNE_SLACK < self._clearance[k]
+            if certified:
+                # no segment two or more places from k can win or tie; of
+                # k's neighbours, those whose bound passes can
+                cut = d_best + _PRUNE_SLACK
+                bounds = self._bounds
+                if k > 0:
+                    mx, my, half = bounds[k - 1]
+                    if math.hypot(px - mx, py - my) - half <= cut:
+                        before = self._candidate(k - 1, px, py)
+                if k + 1 < len(bounds):
+                    mx, my, half = bounds[k + 1]
+                    if math.hypot(px - mx, py - my) - half <= cut:
+                        after = self._candidate(k + 1, px, py)
+            if before or after or not certified:
+                hinted = (d_best, s_best, clamp_best, k, u_best, (qx, qy, th))
+                candidates = ([cand for cand in (before, hinted, after) if cand] if certified
+                              else self._bound_pass(px, py, k, hinted))
+            else:
+                candidates = None
+                ambiguous = False
+        if candidates is not None:
+            if len(candidates) == 1:
+                _, s_best, clamp_best, i_best, u_best, (qx, qy, th) = candidates[0]
+                ambiguous = False
+            else:
+                d_best = min(cand[0] for cand in candidates)
+                near = [cand for cand in candidates if cand[0] <= d_best + 1e-9]
+                near.sort(key=lambda cand: cand[1])
+                _, s_best, clamp_best, i_best, u_best, (qx, qy, th) = near[0]
+                # two candidates at distinct abscissae within tolerance: genuinely ambiguous
+                ambiguous = any(abs(cand[1] - s_best) > 1e-6 for cand in near[1:])
+            nx, in_place = None, False
+            s0 = cum[i_best - 1] if i_best > 0 else 0.0
         total = self.total_length
         # interior endpoint hits are junction duplicates, not clamping
         clamped = clamp_best and (s_best <= 1e-12 or s_best >= total - 1e-12)
         # the point at s as `point_at(s)` finds it, less the range check: s_best >= 0
         s = min(s_best, total)
-        cum = self.cumulative_lengths
         # the winner's segment when it holds s as `segment_index` would find
         # it; else (at a junction, the path end, or between two equal
         # cumulative lengths) the bisect
-        s0 = cum[i_best - 1] if i_best > 0 else 0.0
         if s0 <= s < cum[i_best]:
             i = i_best
         else:
@@ -242,16 +325,35 @@ class ReferencePath:
             s0 = cum[i - 1] if i > 0 else 0.0
         u_s = s - s0
         # the winner's own point when it is `point_at` of the same float (a
-        # signed zero compares equal to the other, so the signs are checked)
-        if (i == i_best and u_s == u_best
-                and math.copysign(1.0, u_s) == math.copysign(1.0, u_best)):
-            qx, qy, th = point_best
-        else:
-            qx, qy, th = self.segments[i].point_at(u_s)
-        nx, ny = -math.sin(th), math.cos(th)
+        # signed zero compares equal to the other, so a zero's sign is checked)
+        if not (i == i_best and u_s == u_best
+                and (u_s or math.copysign(1.0, u_s) == math.copysign(1.0, u_best))):
+            if not (in_place and i == i_best):
+                qx, qy, th = self.segments[i].point_at(u_s)
+                nx = None
+            elif c == 0.0:
+                # segment k's `point_at(u_s)`, in place as above; a line's
+                # heading, and so its normal, is the same at every u
+                qx, qy = x0 + u_s * cos_h, y0 + u_s * sin_h
+            else:
+                a = h0 + c * u_s
+                sin_a, cos_a = math.sin(a), math.cos(a)
+                qx, qy = cx + sin_a / c, cy - cos_a / c
+                if -math.pi < a <= math.pi:
+                    th, nx, ny = a, -sin_a, cos_a
+                else:
+                    th, nx = wrap_angle(a), None
+        if nx is None:
+            nx, ny = -math.sin(th), math.cos(th)
         y_signed = (px - qx) * nx + (py - qy) * ny
-        return Projection(FrenetState(s, y_signed, wrap_angle(heading - th)), i,
-                          clamped, ambiguous)
+        # wrap_angle, whose result is its argument in (-pi, pi]
+        theta = heading - th
+        if not -math.pi < theta <= math.pi:
+            theta = wrap_angle(theta)
+        # tuple.__new__ builds the same NamedTuples without their Python-level
+        # __new__, which costs about as much again as the tuple itself
+        return _new_tuple(Projection, (_new_tuple(FrenetState, (s, y_signed, theta)), i,
+                                       clamped, ambiguous))
 
     def _bound_pass(self, px: float, py: float, k: int = -1, hinted=None):
         """Candidates, in index order, of every segment whose bound is within
@@ -262,24 +364,6 @@ class ReferencePath:
         cut = (nearest[0] if hinted is None else min(nearest[0], hinted[0])) + _PRUNE_SLACK
         return [nearest if i == first else hinted if i == k else self._candidate(i, px, py)
                 for i, b in enumerate(bounds) if b <= cut or i == first]
-
-    def _hinted_candidates(self, k: int, hinted, px: float, py: float):
-        """Candidates, in index order, around segment k (`hinted` is its
-        candidate); None when k's clearance cannot certify that no other
-        segment is nearer."""
-        if not 2.0 * hinted[0] + _PRUNE_SLACK < self._clearance[k]:
-            return None
-        cut = hinted[0] + _PRUNE_SLACK
-        bounds = self._bounds
-        candidates = [hinted]
-        for i in (k - 1, k + 1):
-            if 0 <= i < len(bounds):
-                mx, my, half = bounds[i]
-                if math.hypot(px - mx, py - my) - half <= cut:
-                    # k - 1 goes before k, k + 1 after it
-                    candidates.insert(0 if i < k else len(candidates),
-                                      self._candidate(i, px, py))
-        return candidates
 
     def _candidate(self, i: int, px: float, py: float):
         """(distance, s, clamped, i, u, point) of the closest point on segment

@@ -169,26 +169,36 @@ def _closed_loop_scenarios(no_certificate=False):
 
 
 def test_hinted_and_full_projection_give_equal_runs(monkeypatch):
-    outcomes = []
-    hinted = ReferencePath._hinted_candidates
+    # a hinted call falls back to the bound pass, with its hinted segment k
+    # (k >= 0), exactly when the certificate fails
+    hinted, fallbacks = [], []
+    project, bound_pass = ReferencePath.project, ReferencePath._bound_pass
 
-    def counting(self, *args):
-        found = hinted(self, *args)
-        outcomes.append(found is not None)
-        return found
-    monkeypatch.setattr(ReferencePath, "_hinted_candidates", counting)
+    def counting_project(self, position, heading, s_hint=None):
+        if s_hint is not None:
+            hinted.append(s_hint)
+        return project(self, position, heading, s_hint)
+
+    def counting_bound_pass(self, px, py, k=-1, found=None):
+        if k >= 0:
+            fallbacks.append(k)
+        return bound_pass(self, px, py, k, found)
+    monkeypatch.setattr(ReferencePath, "project", counting_project)
+    monkeypatch.setattr(ReferencePath, "_bound_pass", counting_bound_pass)
 
     logs = []
     for certified, full in zip(_closed_loop_scenarios(),
                                _closed_loop_scenarios(no_certificate=True)):
-        outcomes.clear()
+        hinted.clear()
+        fallbacks.clear()
         log = run_scenario(certified)
         # both projections of a plant step (robot and implement) pass a hint,
         # and the certified branch handles most of them
-        assert sum(outcomes) > 0.9 * 2 * len(log.records)
-        outcomes.clear()
+        assert len(hinted) - len(fallbacks) > 0.9 * 2 * len(log.records)
+        hinted.clear()
+        fallbacks.clear()
         reference = run_scenario(full)
-        assert outcomes and not any(outcomes)
+        assert hinted and len(fallbacks) == len(hinted)
         assert log.fault is None and len(log.records) > 3000
         assert log.records == reference.records
         logs.append(log)
@@ -198,8 +208,9 @@ def test_hinted_and_full_projection_give_equal_runs(monkeypatch):
 
 @pytest.mark.parametrize("which", ["field", "line_100hz"])
 def test_plant_step_looks_up_no_segment(monkeypatch, which):
-    # the plant state carries its segment: only the controller's preview
-    # looks one up, once per control step, plus the start state's
+    # the plant state carries its segment, and the controller's preview
+    # bisects its clamped abscissa itself: only the start pose and the start
+    # state look one up
     calls = []
     segment_index = ReferencePath.segment_index
     monkeypatch.setattr(ReferencePath, "segment_index",
@@ -209,10 +220,8 @@ def test_plant_step_looks_up_no_segment(monkeypatch, which):
     else:
         scn = straight_scenario(run_length=20.0, control_period=0.01)
     log = run_scenario(scn)
-    n_ctrl = round(scn.control_period / scn.dt)
-    control_steps = -(-len(log.records) // n_ctrl)
     assert log.fault is None and len(log.records) > 1000
-    assert len(calls) <= control_steps + 2
+    assert calls == [scn.initial_s] * 2
 
 
 # ------------------------------------------------------------------- faults

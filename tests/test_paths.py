@@ -103,6 +103,29 @@ def test_curvature_values_and_junction_tiebreak():
     assert path.curvature_ahead(6.5, 100.0) == 0.2  # clamped to path end
 
 
+def test_curvature_ahead_is_curvature_at_of_the_clamped_abscissa():
+    # every segment has its own curvature, so equal curvatures mean the same
+    # segment; NaN passes the clamp and `curvature_at`'s range check alike
+    path = build_path([
+        {"kind": "line", "length_m": 5.0},
+        {"kind": "arc", "length_m": 2.0, "curvature_per_m": 0.2},
+        {"kind": "arc", "length_m": 3.0, "curvature_per_m": -0.125},
+        {"kind": "arc", "length_m": 1.5, "curvature_per_m": 1.0 / 12.0},
+    ])
+    total = path.total_length
+    rng = random.Random(4)
+    specials = (0.0, -0.0, 1e-12, -1e-12, 1e300, -1e300, math.inf, -math.inf, math.nan)
+    abscissae = [*(rng.uniform(-3.0, total + 3.0) for _ in range(200)), 0.0, -0.0, total,
+                 *path.cumulative_lengths, *specials]
+    offsets = [*(rng.uniform(-5.0, 5.0) for _ in range(20)), 3.5, *specials]
+    offsets += [c - 5.0 for c in path.cumulative_lengths]
+    for s in abscissae:
+        for ds in offsets:
+            assert (path.curvature_ahead(s, ds)
+                    == path.curvature_at(min(max(s + ds, 0.0), total))), (s, ds)
+    assert path.curvature_ahead(math.nan, 0.0) == 1.0 / 12.0
+
+
 # ------------------------------------------------------------------- project
 
 def test_project_line_offset():
@@ -483,11 +506,85 @@ def test_hinted_project_equals_full_scan(path, frac, d, heading, hint):
             == _full_scan_project(path, (px, py), heading))
 
 
+def _hex(p):
+    return [v.hex() for v in p.frenet] + [p.segment, p.clamped, p.ambiguous]
+
+
+# (start, start heading, length, curvature): the arcs' heading h0 + c*u
+# leaves (-pi, pi] above pi, at -pi and below it, or (sweep > 2*pi) on a
+# full turn; the zero starts and headings carry either sign
+IN_PLACE_SEGMENTS = (
+    ((0.0, 0.0), 0.0, 10.0, 0.0), ((0.0, -0.0), -0.0, 5.0, 0.0),
+    ((-0.0, 0.0), math.pi, 3.0, 0.0), ((3.1, -2.2), 0.7, 12.5, 0.0),
+    ((1.0, 2.0), 3.0, 4.0, 0.5), ((1.0, 2.0), -3.0, 4.0, -0.5),
+    ((0.0, 0.0), math.pi, 3.0, 0.2), ((0.0, -0.0), -math.pi / 2, 2.0 * math.pi, -0.5),
+    ((-2.0, 0.5), -2.9, 30.0, -0.25), ((0.0, 0.0), 0.3, 1.0, 1.0),
+)
+
+
+def test_in_place_foot_equals_full_scan_by_hex(monkeypatch):
+    # a hinted call evaluates its segment k in place; when k alone is
+    # certified, the tail reuses k's point and normal, or evaluates k again,
+    # in place, at the u of the final abscissa. Bit for bit, that is the full
+    # scan's `point_at` and sin/cos. Each segment is tried alone (where that u
+    # is the foot's) and after a lead-in line (where s - s0 may round it).
+    point_calls = []
+    point_at = PathSegment.point_at
+    monkeypatch.setattr(PathSegment, "point_at",
+                        lambda seg, u: point_calls.append(u) or point_at(seg, u))
+    hits = {"above_pi": 0, "at_or_below_minus_pi": 0, "clamp_start": 0, "clamp_end": 0,
+            "u_zero": 0, "u_length": 0, "negative_zero_u": 0, "tail_in_place": 0}
+    zeros = (0.0, -0.0)
+    lead = 7.3
+    for start, h0, length, c in IN_PLACE_SEGMENTS:
+        kind = "line" if c == 0.0 else "arc"
+        descriptor = {"kind": kind, "length_m": length, "curvature_per_m": c}
+        lead_start = (start[0] - lead * math.cos(h0), start[1] - lead * math.sin(h0))
+        for path in (build_path([descriptor], start=start, start_heading=h0),
+                     build_path([{"kind": "line", "length_m": lead}, descriptor],
+                                start=lead_start, start_heading=h0)):
+            seg = path.segments[-1]
+            s0 = path.cumulative_lengths[-2] if len(path.segments) > 1 else 0.0
+            points = [(zx, zy) for zx in zeros for zy in zeros]
+            points += [(seg.start[0] + zx, seg.start[1] + zy) for zx in zeros for zy in zeros]
+            if seg.center() is not None:
+                points.append(seg.center())
+            for u in (0.0, length, length / 3, -1e-9, -0.5, -2.0, length + 1e-9,
+                      length + 0.5, length + 2.0):
+                x, y, th = seg.point_at(u)
+                for d in (0.0, -0.0, 0.3, -0.7, 2.0):
+                    points.append((x - d * math.sin(th), y + d * math.cos(th)))
+            for px, py in points:
+                u, clamped = _project_segment(seg, px, py)
+                a = seg.start_heading + c * u
+                hits["above_pi"] += c != 0.0 and a > math.pi
+                hits["at_or_below_minus_pi"] += c != 0.0 and a <= -math.pi
+                hits["clamp_start"] += clamped and u == 0.0
+                hits["clamp_end"] += clamped and u == length
+                hits["u_zero"] += not clamped and u == 0.0
+                hits["u_length"] += not clamped and u == length
+                hits["negative_zero_u"] += u == 0.0 and math.copysign(1.0, u) < 0
+                expected = _hex(_full_scan_project(path, (px, py), 0.4))
+                for hint in (-0.0, s0, s0 + length, math.nan):
+                    point_calls.clear()
+                    assert _hex(path.project((px, py), 0.4, hint)) == expected
+                    # the tail evaluated k at a rounded u without `point_at`
+                    hits["tail_in_place"] += (hint != -0.0 and not point_calls
+                                              and (s0 + u) - s0 != u)
+    assert all(hits.values()), hits
+
+
 def _certifies(path, s, d):
-    """Whether a hinted call at s, d to the left of the path, is certified."""
-    px, py, _ = _offset_point(path, s, d)
-    k = path.segment_index(s)
-    return path._hinted_candidates(k, path._candidate(k, px, py), px, py) is not None
+    """Whether a hinted call at s, d to the left of the path, is certified:
+    it falls back to the bound pass only when it is not."""
+    px, py, h = _offset_point(path, s, d)
+    fallbacks = []
+    bound_pass = ReferencePath._bound_pass
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReferencePath, "_bound_pass",
+                   lambda self, *a: fallbacks.append(a) or bound_pass(self, *a))
+        path.project((px, py), h, s)
+    return not fallbacks
 
 
 def test_hint_takes_the_certified_branch_only_where_boxes_are_apart():
@@ -506,7 +603,9 @@ def test_hint_takes_the_certified_branch_only_where_boxes_are_apart():
 def test_hint_fallback_evaluates_at_most_one_segment_more(monkeypatch):
     # the hinted segment's distance seeds the bound pass's cut, so a failed
     # certificate costs at most that one evaluation over an unhinted call,
-    # and none when the unhinted call evaluates the hinted segment too
+    # and none when the unhinted call evaluates the hinted segment too;
+    # `project` evaluates the hinted segment in place, once, and hands it to
+    # the bound pass, so `_candidate` sees every other evaluation and never k
     evaluated = []
     candidate = ReferencePath._candidate
 
@@ -530,7 +629,8 @@ def test_hint_fallback_evaluates_at_most_one_segment_more(monkeypatch):
         plain = set(evaluated)
         evaluated.clear()
         TILTED.project((px, py), h, s_hint)
-        assert len(evaluated) <= len(plain) + (k not in plain)
+        assert k not in evaluated
+        assert 1 + len(evaluated) <= len(plain) + (k not in plain)
     assert fallbacks > 100
 
 
