@@ -235,16 +235,18 @@ def lateral_servoing_control_step(meas: Measurements, params: BaselineParams,
 class Controller:
     """Stateful wrapper: a method's step function plus a fail-safe last-command cache.
 
-    compute(meas) returns the method's command. On a singularity the last
-    valid command is re-issued with the fault flag set, so the actuator never
-    sees a non-finite or unbounded value. horizon is the preview distance
-    ahead of the robot's abscissa, m.
+    compute(meas) returns the method's command. When a guard trips (a
+    singularity, or an angle outside a formula's domain) the last valid
+    command is re-issued with the fault flag set, so the actuator never sees
+    a non-finite or unbounded value, and `fault` holds the guard's message.
+    horizon is the preview distance ahead of the robot's abscissa, m.
     """
 
     def __init__(self, method: str, compute: Callable[[Measurements], ControlCommand],
                  horizon: float = 0.0):
         self.method = method
         self.horizon = horizon
+        self.fault: str | None = None
         self._compute = compute
         self._last = ControlCommand(delta_desired=0.0)
 
@@ -254,7 +256,8 @@ class Controller:
         compute = self._compute
         try:
             cmd = compute(meas)
-        except SingularityError:
+        except (SingularityError, DomainError) as exc:
+            self.fault = str(exc)
             return ControlCommand(delta_desired=self._last.delta_desired,
                                   theta_desired=self._last.theta_desired,
                                   fault=True)

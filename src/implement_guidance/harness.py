@@ -193,7 +193,7 @@ def run_scenario(scn: Scenario) -> RunLog:
             delta_cmd = cmd.delta_desired
             theta_d = cmd.theta_desired
             if cmd.fault:
-                log.fault = "controller singularity fail-safe"
+                log.fault = f"controller fail-safe: {controller.fault}"
                 _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
                 break
         _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=False)

@@ -16,12 +16,10 @@ from .errors import PathConstructionError, RangeError
 
 _G1_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
-# Slack on the pruning cut in `project`: far above the float error of a
-# bound or a distance (~1e-13 m at field scale), so no segment that could
-# enter the 1e-9 tie set is ever pruned.
+# Slack on the cut that prunes a hinted segment's neighbours in `project`:
+# far above the float error of a bound or a distance (~1e-13 m at field
+# scale), so no segment that could enter the 1e-9 tie set is ever pruned.
 _PRUNE_SLACK = 1e-6
-# Padding on a segment's bounding box: covers the float error of `point_at`.
-_BOX_PAD = 1e-9
 _HALF_PI = math.pi / 2
 _new_tuple = tuple.__new__
 
@@ -105,7 +103,7 @@ class Projection(NamedTuple):
     frenet: FrenetState
     segment: int             # segment_index(frenet.s), found on the way
     clamped: bool = False    # nearest point was a path endpoint, s clamped
-    ambiguous: bool = False  # multiple global minimizers, smallest s chosen
+    ambiguous: bool = False  # several minimizers (in the window), smallest s chosen
 
 
 @dataclass(frozen=True)
@@ -119,10 +117,6 @@ class ReferencePath:
     # or arc lies within half its length of its midpoint (chord <= arc)
     _bounds: tuple[tuple[float, float, float], ...] = field(init=False, repr=False,
                                                             compare=False)
-    # per segment k: a lower bound on the distance from k to every segment j
-    # with |j - k| >= 2 (gap between bounding boxes in the path's frame); inf
-    # when there is none
-    _clearance: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -152,16 +146,12 @@ class ReferencePath:
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "_bounds", tuple(
             seg.point_at(seg.length / 2)[:2] + (seg.length / 2,) for seg in self.segments))
-        object.__setattr__(self, "_clearance", _clearances(self.segments))
 
     def segment_index(self, s: float) -> int:
         """Index of the segment containing s; a junction belongs to the later segment."""
         if s < 0.0 or s > self.total_length:
             raise RangeError(f"s={s} outside [0, {self.total_length}]")
         return min(bisect_right(self.cumulative_lengths, s), len(self.segments) - 1)
-
-    def segment_label(self, s: float) -> str:
-        return self.labels[self.segment_index(s)]
 
     def junctions(self) -> tuple[float, ...]:
         """Abscissae of interior junctions where curvature may jump."""
@@ -197,36 +187,34 @@ class ReferencePath:
                 s_hint: float | None = None) -> Projection:
         """Closest-point projection of a world pose onto the path.
 
-        Returns the Frenet state at the global distance minimizer; ties break
-        to the smallest s (flagged ambiguous); positions beyond the path ends
-        clamp s to [0, total_length] (flagged clamped).
+        Without `s_hint`, returns the Frenet state at the global distance
+        minimizer, every segment evaluated; ties break to the smallest s
+        (flagged ambiguous); positions beyond the path ends clamp s to
+        [0, total_length] (flagged clamped).
 
-        Only segments that can hold the minimizer are evaluated exactly: a
-        segment's distance is at least |p - midpoint| - length/2, so one whose
-        bound exceeds the exact distance to the segment with the smallest
-        bound (plus slack) is farther than the minimizer and cannot join the
-        tie set. The result equals that of a scan over every segment.
-
-        `s_hint` (the caller's last abscissa, any float) names a segment k to
-        try first, at distance d_k. If 2*d_k + slack is below k's clearance,
-        every segment j with |j - k| >= 2 is farther than d_k + slack (its
-        distance from the nearest point on k is at least the clearance), so
-        only k and its neighbours whose bound passes are evaluated. Otherwise
-        every bound is computed as without a hint, and d_k, when below the
-        distance to the segment with the smallest bound, tightens the cut.
-        The hint changes the cost, never the result.
+        With `s_hint` (the caller's last abscissa, any float), returns the
+        nearest point within a window around it instead, with the same ties
+        and flags: the segment k holding the hint and its neighbours k - 1
+        and k + 1. A neighbour is evaluated only when its bound passes: its
+        distance is at least |p - midpoint| - length/2, so one whose bound
+        exceeds k's distance plus slack can neither win nor tie. While the
+        winner sits on the window's outer junction (the start of its first
+        segment or the end of its last), the window grows by one segment past
+        that end, so s follows the foot across segments shorter than a step.
+        A hint thus keeps s on its row where another row, or another turn of
+        the path, is nearer.
 
         k's foot is computed here, with the float operations of
-        `_project_segment` and `point_at` in their order. When k alone is
-        certified, it goes straight to the tail with the normal of its
-        heading, and the tail evaluates k again in place only where the
-        final abscissa rounds to another u. Otherwise it is the candidate
-        that `_candidate` would give, so k is evaluated once either way.
+        `_project_segment` and `point_at` in their order. When no neighbour's
+        bound passes, it goes straight to the tail with the normal of its
+        heading, and the tail evaluates k again in place only where the final
+        abscissa rounds to another u. Otherwise it is the candidate that
+        `_candidate` would give, so k is evaluated once either way.
         """
         px, py = position
         cum = self.cumulative_lengths
         if s_hint is None:
-            candidates = self._bound_pass(px, py)
+            win, ambiguous = _nearest([self._candidate(i, px, py) for i in range(len(cum))])
         else:
             k = min(bisect_right(cum, s_hint), len(cum) - 1)
             seg = self.segments[k]
@@ -275,39 +263,27 @@ class ReferencePath:
             # cumulative start + u: the same float as a running sum of lengths
             s0 = cum[k - 1] if k > 0 else 0.0
             s_best, i_best, in_place = s0 + u_best, k, True
+            # of k's neighbours, those whose bound passes can win or tie
+            cut = d_best + _PRUNE_SLACK
+            bounds = self._bounds
+            last = len(bounds) - 1
             before = after = None
-            certified = 2.0 * d_best + _PRUNE_SLACK < self._clearance[k]
-            if certified:
-                # no segment two or more places from k can win or tie; of
-                # k's neighbours, those whose bound passes can
-                cut = d_best + _PRUNE_SLACK
-                bounds = self._bounds
-                if k > 0:
-                    mx, my, half = bounds[k - 1]
-                    if math.hypot(px - mx, py - my) - half <= cut:
-                        before = self._candidate(k - 1, px, py)
-                if k + 1 < len(bounds):
-                    mx, my, half = bounds[k + 1]
-                    if math.hypot(px - mx, py - my) - half <= cut:
-                        after = self._candidate(k + 1, px, py)
-            if before or after or not certified:
+            if k > 0:
+                mx, my, half = bounds[k - 1]
+                if math.hypot(px - mx, py - my) - half <= cut:
+                    before = self._candidate(k - 1, px, py)
+            if k < last:
+                mx, my, half = bounds[k + 1]
+                if math.hypot(px - mx, py - my) - half <= cut:
+                    after = self._candidate(k + 1, px, py)
+            if before or after:
                 hinted = (d_best, s_best, clamp_best, k, u_best, (qx, qy, th))
-                candidates = ([cand for cand in (before, hinted, after) if cand] if certified
-                              else self._bound_pass(px, py, k, hinted))
+                win, ambiguous = self._window([cand for cand in (before, hinted, after) if cand],
+                                              max(k - 1, 0), min(k + 1, last), px, py)
             else:
-                candidates = None
-                ambiguous = False
-        if candidates is not None:
-            if len(candidates) == 1:
-                _, s_best, clamp_best, i_best, u_best, (qx, qy, th) = candidates[0]
-                ambiguous = False
-            else:
-                d_best = min(cand[0] for cand in candidates)
-                near = [cand for cand in candidates if cand[0] <= d_best + 1e-9]
-                near.sort(key=lambda cand: cand[1])
-                _, s_best, clamp_best, i_best, u_best, (qx, qy, th) = near[0]
-                # two candidates at distinct abscissae within tolerance: genuinely ambiguous
-                ambiguous = any(abs(cand[1] - s_best) > 1e-6 for cand in near[1:])
+                win, ambiguous = None, False
+        if win is not None:
+            _, s_best, clamp_best, i_best, u_best, (qx, qy, th) = win
             nx, in_place = None, False
             s0 = cum[i_best - 1] if i_best > 0 else 0.0
         total = self.total_length
@@ -355,15 +331,20 @@ class ReferencePath:
         return _new_tuple(Projection, (_new_tuple(FrenetState, (s, y_signed, theta)), i,
                                        clamped, ambiguous))
 
-    def _bound_pass(self, px: float, py: float, k: int = -1, hinted=None):
-        """Candidates, in index order, of every segment whose bound is within
-        the cut; `hinted` is segment k's candidate when already evaluated."""
-        bounds = [math.hypot(px - mx, py - my) - half for mx, my, half in self._bounds]
-        first = bounds.index(min(bounds))
-        nearest = hinted if first == k else self._candidate(first, px, py)
-        cut = (nearest[0] if hinted is None else min(nearest[0], hinted[0])) + _PRUNE_SLACK
-        return [nearest if i == first else hinted if i == k else self._candidate(i, px, py)
-                for i, b in enumerate(bounds) if b <= cut or i == first]
+    def _window(self, candidates, lo: int, hi: int, px: float, py: float):
+        """`_nearest` of the candidates of the window [lo, hi], after it grows
+        by one segment past each end whose outer junction the winner sits on."""
+        while True:
+            win, ambiguous = _nearest(candidates)
+            i, u = win[3], win[4]
+            if i == lo and u == 0.0 and lo > 0:
+                lo -= 1
+                candidates.insert(0, self._candidate(lo, px, py))
+            elif i == hi and u == self.segments[hi].length and hi + 1 < len(self.segments):
+                hi += 1
+                candidates.append(self._candidate(hi, px, py))
+            else:
+                return win, ambiguous
 
     def _candidate(self, i: int, px: float, py: float):
         """(distance, s, clamped, i, u, point) of the closest point on segment
@@ -374,6 +355,18 @@ class ReferencePath:
         # cumulative start + u: the same float as a running sum of lengths
         s0 = self.cumulative_lengths[i - 1] if i > 0 else 0.0
         return math.hypot(px - point[0], py - point[1]), s0 + u, clamped, i, u, point
+
+
+def _nearest(candidates):
+    """The winning candidate, at the smallest s among those within 1e-9 m of
+    the least distance, and whether another of those lies at a distinct s."""
+    if len(candidates) == 1:
+        return candidates[0], False
+    d_best = min(cand[0] for cand in candidates)
+    near = [cand for cand in candidates if cand[0] <= d_best + 1e-9]
+    near.sort(key=lambda cand: cand[1])
+    # two candidates at distinct abscissae within tolerance: genuinely ambiguous
+    return near[0], any(abs(cand[1] - near[0][1]) > 1e-6 for cand in near[1:])
 
 
 def _project_segment(seg: PathSegment, px: float, py: float) -> tuple[float, bool]:
@@ -408,57 +401,6 @@ def _project_segment(seg: PathSegment, px: float, py: float) -> tuple[float, boo
     ex, ey, _ = seg._end
     d_end = math.hypot(px - ex, py - ey)
     return (0.0, True) if d_start <= d_end else (seg.length, True)
-
-
-def _box(seg: PathSegment) -> tuple[float, float, float, float]:
-    """(x_min, y_min, x_max, y_max) holding every `seg.point_at(u)`, u in [0, length].
-
-    A line's box spans its endpoints; an arc's also spans every axis extreme
-    of its circle that the sweep crosses (all four once the sweep reaches 2*pi).
-    """
-    (x0, y0, _), (x1, y1, _) = seg.point_at(0.0), seg.end_pose()
-    xs, ys = [x0, x1], [y0, y1]
-    c = seg.curvature
-    if c != 0.0:
-        cx, cy = seg.center()
-        r = 1.0 / abs(c)
-        sweep = abs(c) * seg.length
-        # polar angle about the center runs counter-clockwise over [lo, lo + sweep]
-        start = seg.start_heading - math.copysign(math.pi / 2, c)
-        lo = start if c > 0 else start - sweep
-        for j, (ex, ey) in enumerate(((r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r))):
-            if (j * math.pi / 2 - lo) % _TWO_PI <= sweep:
-                xs.append(cx + ex)
-                ys.append(cy + ey)
-    return (min(xs) - _BOX_PAD, min(ys) - _BOX_PAD, max(xs) + _BOX_PAD, max(ys) + _BOX_PAD)
-
-
-def _clearances(segments: tuple[PathSegment, ...]) -> tuple[float, ...]:
-    """Per segment k: min box gap to every segment j with |j - k| >= 2.
-
-    The boxes are taken in the path's own frame (origin at its start, x axis
-    along its start heading), so rows laid along the first segment get the
-    same clearance at any heading; a gap in any frame bounds the distance.
-    Moving a segment into that frame rounds its points by ~1e-14 m at field
-    scale, far inside the certificate's `_PRUNE_SLACK`.
-    """
-    (ox, oy), h0 = segments[0].start, segments[0].start_heading
-    cos0, sin0 = math.cos(h0), math.sin(h0)
-    boxes = []
-    for seg in segments:
-        dx, dy = seg.start[0] - ox, seg.start[1] - oy
-        boxes.append(_box(PathSegment(seg.kind, (dx * cos0 + dy * sin0, dy * cos0 - dx * sin0),
-                                      seg.start_heading - h0, seg.length, seg.curvature)))
-    clearance = [math.inf] * len(boxes)
-    for k, (ax0, ay0, ax1, ay1) in enumerate(boxes):
-        for j in range(k + 2, len(boxes)):
-            bx0, by0, bx1, by1 = boxes[j]
-            gap = math.hypot(max(bx0 - ax1, ax0 - bx1, 0.0), max(by0 - ay1, ay0 - by1, 0.0))
-            if gap < clearance[k]:
-                clearance[k] = gap
-            if gap < clearance[j]:
-                clearance[j] = gap
-    return tuple(clearance)
 
 
 def build_path(

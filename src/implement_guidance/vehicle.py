@@ -69,7 +69,8 @@ def implement_error_exact(pose: VehiclePose, imp: ImplementConfig, path: Referen
                           s_hint: float | None = None) -> float:
     """Ground-truth implement lateral error: project the implement point onto the path.
 
-    `s_hint` is passed to `ReferencePath.project`; it changes the cost only.
+    `s_hint` is passed to `ReferencePath.project`, which then returns the
+    nearest point in a window around it rather than on the whole path.
     """
     return path.project(implement_world_position(pose, imp), pose.heading, s_hint).frenet.y
 
@@ -155,8 +156,9 @@ def step(pose: VehiclePose, proj: Projection, steer_cmd: float, dt: float,
     """Advance the plant by dt under a zero-order-hold steering command.
 
     The plant state is the pose and its projection, which carries the segment
-    of its abscissa. Raises SingularityError when the osculating-circle guard
-    |1 - c*y| trips before or after the step.
+    of its abscissa. The moved pose is projected with the old abscissa as its
+    hint, so s follows the path from where it was. Raises SingularityError
+    when the osculating-circle guard |1 - c*y| trips before or after the step.
     """
     if dt <= 0:
         raise ParameterError("dt must be > 0")

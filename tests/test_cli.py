@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from implement_guidance.cli import main
 from implement_guidance.errors import GuidanceError
+from implement_guidance.harness import read_csv
 from implement_guidance.scenario_io import _BLOCK_KEYS, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -283,3 +284,66 @@ def test_mutated_short_run_never_exits_1(data, name, length):
         assume(3 * scn.run_length / (scn.vehicle.speed * scn.dt) + n_ctrl <= 5000)
         assume(getattr(scn.params, "n_h", 0) <= 10000)
     assert _exit_code("run", text) in (0, 2, 3)
+
+
+# ------------------------------------------------------- faults and headlands
+
+@pytest.mark.parametrize("e_I", ["2.2", "2.7", "3.0"])
+def test_narrow_headland_run_keeps_s_on_its_row(e_I, tmp_path):
+    # rows 5 m apart, the robot up to 3.5 m off row 3: nearer row 4, but s
+    # stays on row 3 and follows the path through the turns that follow
+    text = (SCENARIOS / "fields" / "narrow_headland.scn").read_text()
+    assert "initial_e_I_m 2.7\n" in text
+    p = tmp_path / "narrow.scn"
+    p.write_text(text.replace("initial_e_I_m 2.7\n", f"initial_e_I_m {e_I}\n"))
+    assert main(["--out-dir", str(tmp_path / "o"), "run", str(p)]) == 0
+    scn = parse_scenario(p.read_text())
+    with open(tmp_path / "o" / "run.csv") as fh:
+        log = read_csv(fh)
+    records = log.records
+    assert records[0].s == scn.initial_s and records[-1].s >= scn.run_length
+    # s moves at most one step's travel at the Frenet rate v cos(theta~) /
+    # (1 - c y), plus a margin; inside a turn that rate is up to 2.1 v here
+    curvature = dict(zip(scn.path.labels, (seg.curvature for seg in scn.path.segments)))
+    for a, b in zip(records, records[1:]):
+        rate = max(1.0 / (1.0 - curvature[r.segment] * r.y) for r in (a, b))
+        assert abs(b.s - a.s) <= scn.vehicle.speed * scn.dt * rate + 0.01
+    assert {r.segment for r in log.records} >= {"L3", "C3", "L4", "C4", "L5"}
+
+
+def test_controller_domain_fault_exits_3_with_its_log(tmp_path, capsys):
+    # a heading 1.6 rad off the path is outside the optimal controller's
+    # domain: the fail-safe command, a truncated log, and the guard named
+    text = (SCENARIOS / "exp1_rear_optimal.scn").read_text().replace(
+        "[run]\n", "[run]\ninitial_theta_rad 1.6\n")
+    p = tmp_path / "theta.scn"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["--out-dir", str(out), "run", str(p)]) == 3
+    assert "simulation fault: controller fail-safe: |theta_tilde| must be < pi/2" in (
+        capsys.readouterr().err)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["fault"] == "controller fail-safe: |theta_tilde| must be < pi/2"
+    with open(out / "run.csv") as fh:
+        records = read_csv(fh).records
+    assert records and records[-1].fault
+
+
+_PRESETS = sorted(f"table1_{placement}_{method}" for placement in ("front", "rear")
+                  for method in ("optimal", "backstepping", "lateral_servoing"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(preset=st.sampled_from(_PRESETS), initial_s=st.floats(0.0, 46.0),
+       e_I=st.floats(-12.0, 12.0),
+       theta=st.one_of(st.floats(-4.0, 4.0), st.sampled_from([1.6, -1.6, 1e6, -1e300])))
+def test_accepted_start_state_runs_to_exit_0_or_3(preset, initial_s, e_I, theta):
+    # a start state that `validate` accepts is never a bad scenario to `run`:
+    # a 1 m run on exp1 ends or faults (3 with its log), never exits 2
+    text = (f"format_version 1\n[path]\npreset exp1\n[controller]\npreset {preset}\n"
+            f"[run]\nlength_m {initial_s + 1.0!r}\ninitial_s_m {initial_s!r}\n"
+            f"initial_e_I_m {e_I!r}\ninitial_theta_rad {theta!r}\n")
+    assert _exit_code("validate", text) == 0
+    assert _exit_code("run", text) in (0, 3)

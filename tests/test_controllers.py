@@ -441,3 +441,13 @@ def test_controller_failsafe_holds_last_command():
     assert cmd.fault
     assert cmd.delta_desired == good.delta_desired
     assert math.isfinite(cmd.delta_desired)
+
+
+def test_controller_failsafe_on_a_domain_error_names_the_guard():
+    # |theta_tilde| >= pi/2 is outside e_I'' and e_I': held, like a singularity
+    ctrl = OptimalController(REAR_PARAMS, REAR, CFG)
+    good = ctrl.step(meas_of(y=0.2))
+    assert not good.fault and ctrl.fault is None
+    cmd = ctrl.step(meas_of(y=0.2, theta=1.6))
+    assert cmd.fault and cmd.delta_desired == good.delta_desired
+    assert ctrl.fault == "|theta_tilde| must be < pi/2"

@@ -1,3 +1,4 @@
+import bisect
 import io
 import math
 from dataclasses import replace
@@ -147,14 +148,10 @@ def _serpentine_field():
     return build_path(descriptors)
 
 
-def _closed_loop_scenarios(no_certificate=False):
+def _closed_loop_scenarios():
     """A field run (rear optimal, second row and its headland turn) and an
     exp2 run, both with noise on."""
     field_path, exp2_path = _serpentine_field(), build_experiment_path("exp2")
-    if no_certificate:
-        # a zero clearance fails the certificate on every call
-        for path in (field_path, exp2_path):
-            object.__setattr__(path, "_clearance", (0.0,) * len(path.segments))
     imp, params = TABLE1[("optimal", "rear")]
     noise = NoiseSpec(enabled=True)
     row_and_turn = 20.0 + 3.0 * math.pi
@@ -168,42 +165,81 @@ def _closed_loop_scenarios(no_certificate=False):
     return field, exp2
 
 
-def test_hinted_and_full_projection_give_equal_runs(monkeypatch):
-    # a hinted call falls back to the bound pass, with its hinted segment k
-    # (k >= 0), exactly when the certificate fails
-    hinted, fallbacks = [], []
-    project, bound_pass = ReferencePath.project, ReferencePath._bound_pass
+def _run_with_and_without_hints(monkeypatch, scn):
+    """The run as it is, then with every `project` call's hint dropped, so
+    that each projection is the global minimizer; the hinted calls of each."""
+    hinted = []
+    project = ReferencePath.project
 
     def counting_project(self, position, heading, s_hint=None):
         if s_hint is not None:
             hinted.append(s_hint)
         return project(self, position, heading, s_hint)
-
-    def counting_bound_pass(self, px, py, k=-1, found=None):
-        if k >= 0:
-            fallbacks.append(k)
-        return bound_pass(self, px, py, k, found)
     monkeypatch.setattr(ReferencePath, "project", counting_project)
-    monkeypatch.setattr(ReferencePath, "_bound_pass", counting_bound_pass)
+    log = run_scenario(scn)
+    calls = len(hinted)
+    monkeypatch.setattr(ReferencePath, "project",
+                        lambda self, position, heading, s_hint=None:
+                        counting_project(self, position, heading))
+    reference = run_scenario(scn)
+    return log, reference, calls, len(hinted) - calls
 
+
+def test_hinted_and_full_projection_give_equal_runs(monkeypatch):
     logs = []
-    for certified, full in zip(_closed_loop_scenarios(),
-                               _closed_loop_scenarios(no_certificate=True)):
-        hinted.clear()
-        fallbacks.clear()
-        log = run_scenario(certified)
-        # both projections of a plant step (robot and implement) pass a hint,
-        # and the certified branch handles most of them
-        assert len(hinted) - len(fallbacks) > 0.9 * 2 * len(log.records)
-        hinted.clear()
-        fallbacks.clear()
-        reference = run_scenario(full)
-        assert hinted and len(fallbacks) == len(hinted)
+    for scn in _closed_loop_scenarios():
+        log, reference, hinted, hinted_without = _run_with_and_without_hints(monkeypatch, scn)
+        # both projections of a plant step (robot and implement) pass a hint:
+        # one per record, and one per step after all but the last record
+        assert hinted == 2 * len(log.records) - 1 and hinted_without == 0
         assert log.fault is None and len(log.records) > 3000
         assert log.records == reference.records
         logs.append(log)
     # the field run went through the headland turn
     assert {r.segment for r in logs[0].records} >= {"L2", "C2", "L3"}
+
+
+def test_hinted_run_follows_segments_shorter_than_a_step(monkeypatch):
+    # 200 lines and 200 arcs of 0.02 m, and plant steps of 0.1 m: the foot
+    # crosses about five segments a step, and the hinted window grows across
+    # them, so s keeps up and the run equals the global projection's
+    path = build_path([{"kind": "line", "length_m": 1.0},
+                       *[{"kind": kind, "length_m": 0.02, "curvature_per_m": c}
+                         for _ in range(200) for kind, c in (("line", 0.0), ("arc", 0.5))],
+                       {"kind": "line", "length_m": 3.0}])
+    imp, params = TABLE1[("optimal", "rear")]
+    scn = Scenario(path=path, vehicle=CFG, implement=imp, method="optimal", params=params,
+                   run_length=path.total_length - 1.0, dt=0.1, control_period=0.1,
+                   initial_y=initial_lateral_for_error(0.5, imp))
+    # a hinted call evaluates only segments within two places of its hint's
+    # segment or of its result's: the window, never the whole path; its
+    # hint's segment k is evaluated in place, and no segment twice
+    evaluated, windows = [], []
+    candidate, project = ReferencePath._candidate, ReferencePath.project
+
+    def recording_candidate(self, i, px, py):
+        evaluated.append(i)
+        return candidate(self, i, px, py)
+
+    def recording_project(self, position, heading, s_hint=None):
+        evaluated.clear()
+        p = project(self, position, heading, s_hint)
+        if s_hint is not None:
+            k = min(bisect.bisect_right(self.cumulative_lengths, s_hint), len(path.segments) - 1)
+            assert k not in evaluated and len(set(evaluated)) == len(evaluated)
+            windows.append((min(k, p.segment) - 2, max(k, p.segment) + 2, list(evaluated)))
+        return p
+    with monkeypatch.context() as mp:
+        mp.setattr(ReferencePath, "_candidate", recording_candidate)
+        mp.setattr(ReferencePath, "project", recording_project)
+        log = run_scenario(scn)
+    assert all(lo <= i <= hi for lo, hi, seen in windows for i in seen)
+    assert max(len(seen) for _, _, seen in windows) >= 5
+    log, reference, _, _ = _run_with_and_without_hints(monkeypatch, scn)
+    assert log.fault is None and len(log.records) > 100
+    assert log.records == reference.records
+    s = [r.s for r in log.records]
+    assert max(b - a for a, b in zip(s, s[1:])) < 0.15
 
 
 @pytest.mark.parametrize("which", ["field", "line_100hz"])

@@ -12,7 +12,6 @@ from implement_guidance.paths import (
     PathSegment,
     Projection,
     ReferencePath,
-    _box,
     _project_segment,
     build_experiment_path,
     build_path,
@@ -98,7 +97,7 @@ def test_curvature_values_and_junction_tiebreak():
     assert path.curvature_at(2.5) == 0.0
     assert path.curvature_at(6.0) == 0.2        # radius-5 left turn
     assert path.curvature_at(5.0) == 0.2        # junction -> later segment
-    assert path.segment_label(5.0) == "C1"
+    assert path.labels[path.segment_index(5.0)] == "C1"
     assert path.curvature_ahead(4.5, 1.0) == 0.2
     assert path.curvature_ahead(6.5, 100.0) == 0.2  # clamped to path end
 
@@ -328,20 +327,29 @@ def _full_scan_segment_index(path, s):
     return len(path.segments) - 1
 
 
-def _full_scan_project(path, position, heading):
-    """Reference: every segment evaluated exactly, as a running sum of lengths."""
-    px, py = position
-    candidates = []  # (distance, s, clamped)
+def _scan(path, px, py, window):
+    """(distance, s, clamped, i, u) of the nearest point on each segment i in
+    window, s as a running sum of lengths; then the winner, at the smallest s
+    within 1e-9 m of the least distance, and whether that tie set holds
+    another s."""
+    candidates = []
     s0 = 0.0
-    for seg in path.segments:
-        u, clamped = _project_segment(seg, px, py)
-        x, y, _ = seg.point_at(u)
-        candidates.append((math.hypot(px - x, py - y), s0 + u, clamped))
+    for i, seg in enumerate(path.segments):
+        if i in window:
+            u, clamped = _project_segment(seg, px, py)
+            x, y, _ = seg.point_at(u)
+            candidates.append((math.hypot(px - x, py - y), s0 + u, clamped, i, u))
         s0 += seg.length
     d_best = min(c[0] for c in candidates)
     near = sorted((c for c in candidates if c[0] <= d_best + 1e-9), key=lambda c: c[1])
-    _, s_best, clamp_best = near[0]
-    ambiguous = any(abs(c[1] - s_best) > 1e-6 for c in near[1:])
+    return near[0], any(abs(c[1] - near[0][1]) > 1e-6 for c in near[1:])
+
+
+def _full_scan_project(path, position, heading, window=None):
+    """Reference: every segment (of window, if given) evaluated exactly."""
+    px, py = position
+    (_, s_best, clamp_best, _, _), ambiguous = _scan(
+        path, px, py, range(len(path.segments)) if window is None else window)
     clamped = clamp_best and (s_best <= 1e-12 or s_best >= path.total_length - 1e-12)
     s_best = min(s_best, path.total_length)
     i = _full_scan_segment_index(path, s_best)
@@ -475,15 +483,38 @@ def test_segment_index_equals_linear_scan(path, frac):
         assert path.segment_index(s) == _full_scan_segment_index(path, s)
 
 
-# ------------------------------------------ hinted projection vs full scan
+# ------------------------------------------ hinted projection vs window scan
 
-# rows at 0.7 rad to the entry arc, and so to the path's frame: their boxes
-# overlap those of the rows beside them, and hinted calls fall back
+# rows at 0.7 rad to the entry arc
 TILTED = serpentine(6, 18.0, 3.1, start=(-2.0, 1.5), start_heading=-0.4,
                     entry=[{"kind": "arc", "length_m": 3.5, "curvature_per_m": 0.2}])
 
 PROJECTION_PATHS = SERPENTINES + (TILTED, build_experiment_path("exp1"),
                                   build_experiment_path("exp2"))
+
+# 0.02 m segments between two lines: a hinted window grows across many of them
+SUB_STEP = build_path([{"kind": "line", "length_m": 1.0},
+                       *[{"kind": kind, "length_m": 0.02, "curvature_per_m": c}
+                         for _ in range(40) for kind, c in (("line", 0.0), ("arc", 0.5))],
+                       {"kind": "line", "length_m": 1.0}])
+
+
+def _window_scan_project(path, position, heading, s_hint):
+    """Reference for a hinted call: the full scan over the hint's segment k
+    and its neighbours, every one evaluated, grown by one segment past an end
+    while the winner sits on that end's outer junction."""
+    px, py = position
+    last = len(path.segments) - 1
+    k = _full_scan_segment_index(path, s_hint)
+    lo, hi = max(k - 1, 0), min(k + 1, last)
+    while True:
+        (_, _, _, i, u), _ = _scan(path, px, py, range(lo, hi + 1))
+        if i == lo and u == 0.0 and lo > 0:
+            lo -= 1
+        elif i == hi and u == path.segments[hi].length and hi < last:
+            hi += 1
+        else:
+            return _full_scan_project(path, position, heading, range(lo, hi + 1))
 
 
 # (kind, value): an offset from the true s, a fraction of the path length
@@ -495,15 +526,40 @@ HINTS = st.one_of(st.tuples(st.just("near"), st.floats(-3.0, 3.0)),
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.sampled_from(PROJECTION_PATHS), st.floats(-0.05, 1.05), st.floats(-4.0, 4.0),
-       st.floats(-math.pi, math.pi), HINTS)
-def test_hinted_project_equals_full_scan(path, frac, d, heading, hint):
+@given(st.sampled_from(PROJECTION_PATHS + (SUB_STEP,)), st.floats(-0.05, 1.05),
+       st.floats(-4.0, 4.0), st.floats(-math.pi, math.pi), HINTS)
+def test_hinted_project_equals_window_scan(path, frac, d, heading, hint):
     s = frac * path.total_length
     px, py, _ = _offset_point(path, s, d)
     kind, value = hint
     s_hint = {"near": s + value, "at": value * path.total_length, "is": value}[kind]
     assert (path.project((px, py), heading, s_hint)
+            == _window_scan_project(path, (px, py), heading, s_hint))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SERPENTINES), st.floats(0.0, 1.0), st.floats(-0.99, 0.99),
+       st.floats(-math.pi, math.pi), st.floats(-3.0, 3.0))
+def test_hinted_project_equals_full_scan(path, frac, r, heading, offset):
+    # rows 2*R apart (R the headland radius) and a point |d| < R from the
+    # path: no other row is as near, and a hint within 3 m of s (every
+    # segment is longer) names the segment of the point's foot or one beside
+    # it. (TILTED is left out: its entry arc lies 5.6 m from its second
+    # headland turn, less than 2*R.)
+    s = frac * path.total_length
+    px, py, _ = _offset_point(path, s, r * path.min_arc_radius())
+    assert (path.project((px, py), heading, s + offset)
             == _full_scan_project(path, (px, py), heading))
+
+
+def test_hinted_project_keeps_s_on_its_row():
+    # 3.5 m off row 1 of rows 6 m apart: row 2 is nearer, but a hint on row 1
+    # keeps the foot there; without one the global minimizer is on row 2
+    path = SERPENTINES[0]
+    px, py, h = _offset_point(path, 10.0, 3.5)
+    assert path.project((px, py), h, 10.0) == _full_scan_project(path, (px, py), h, [0, 1])
+    assert path.project((px, py), h, 10.0).frenet.s == pytest.approx(10.0, abs=1e-12)
+    assert path.project((px, py), h).frenet.s > path.cumulative_lengths[1]
 
 
 def _hex(p):
@@ -523,8 +579,8 @@ IN_PLACE_SEGMENTS = (
 
 
 def test_in_place_foot_equals_full_scan_by_hex(monkeypatch):
-    # a hinted call evaluates its segment k in place; when k alone is
-    # certified, the tail reuses k's point and normal, or evaluates k again,
+    # a hinted call evaluates its segment k in place; when no neighbour's
+    # bound passes, the tail reuses k's point and normal, or evaluates k again,
     # in place, at the u of the final abscissa. Bit for bit, that is the full
     # scan's `point_at` and sin/cos. Each segment is tried alone (where that u
     # is the foot's) and after a lead-in line (where s - s0 may round it).
@@ -572,111 +628,3 @@ def test_in_place_foot_equals_full_scan_by_hex(monkeypatch):
                     hits["tail_in_place"] += (hint != -0.0 and not point_calls
                                               and (s0 + u) - s0 != u)
     assert all(hits.values()), hits
-
-
-def _certifies(path, s, d):
-    """Whether a hinted call at s, d to the left of the path, is certified:
-    it falls back to the bound pass only when it is not."""
-    px, py, h = _offset_point(path, s, d)
-    fallbacks = []
-    bound_pass = ReferencePath._bound_pass
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ReferencePath, "_bound_pass",
-                   lambda self, *a: fallbacks.append(a) or bound_pass(self, *a))
-        path.project((px, py), h, s)
-    return not fallbacks
-
-
-def test_hint_takes_the_certified_branch_only_where_boxes_are_apart():
-    aligned, rotated = SERPENTINES
-    # rows 6 m and 5.86 m apart: in the path's frame a row's box clears every
-    # non-neighbour by the row spacing, whatever the path's heading
-    assert min(aligned._clearance) > 5.9
-    assert min(rotated._clearance) > 5.8
-    assert min(TILTED._clearance) == 0.0
-    assert build_path([{"kind": "line", "length_m": 10.0}])._clearance == (math.inf,)
-    for path in (aligned, rotated):
-        assert all(_certifies(path, s, 0.5) for s in (10.0, 70.0, path.total_length - 5.0))
-    assert not _certifies(TILTED, 3.5 + 36.0 + 9.0, 0.5)
-
-
-def test_hint_fallback_evaluates_at_most_one_segment_more(monkeypatch):
-    # the hinted segment's distance seeds the bound pass's cut, so a failed
-    # certificate costs at most that one evaluation over an unhinted call,
-    # and none when the unhinted call evaluates the hinted segment too;
-    # `project` evaluates the hinted segment in place, once, and hands it to
-    # the bound pass, so `_candidate` sees every other evaluation and never k
-    evaluated = []
-    candidate = ReferencePath._candidate
-
-    def counting(self, i, px, py):
-        evaluated.append(i)
-        return candidate(self, i, px, py)
-    monkeypatch.setattr(ReferencePath, "_candidate", counting)
-    rng = random.Random(2)
-    fallbacks = 0
-    for _ in range(300):
-        s = rng.uniform(0.0, TILTED.total_length)
-        px, py, h = _offset_point(TILTED, s, rng.uniform(-4.0, 4.0))
-        s_hint = s + rng.uniform(-3.0, 3.0)
-        k = min(bisect.bisect_right(TILTED.cumulative_lengths, s_hint),
-                len(TILTED.segments) - 1)
-        if 2.0 * candidate(TILTED, k, px, py)[0] + 1e-6 < TILTED._clearance[k]:
-            continue
-        fallbacks += 1
-        evaluated.clear()
-        TILTED.project((px, py), h)
-        plain = set(evaluated)
-        evaluated.clear()
-        TILTED.project((px, py), h, s_hint)
-        assert k not in evaluated
-        assert 1 + len(evaluated) <= len(plain) + (k not in plain)
-    assert fallbacks > 100
-
-
-def _random_segment(rng, kind, sweep):
-    length = rng.uniform(0.1, 30.0)
-    curvature = 0.0 if kind == "line" else rng.choice([-1.0, 1.0]) * sweep / length
-    return PathSegment(kind=kind, start=(rng.uniform(-50, 50), rng.uniform(-50, 50)),
-                       start_heading=rng.uniform(-math.pi, math.pi), length=length,
-                       curvature=curvature)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32),
-       st.sampled_from([("line", 0.0), ("arc", 0.3), ("arc", 2.5), ("arc", 4.0),
-                        ("arc", 6.5), ("arc", 20.0)]))
-def test_every_point_of_a_segment_lies_in_its_box(seed, kind_sweep):
-    # sweeps below and above pi and 2*pi
-    rng = random.Random(seed)
-    seg = _random_segment(rng, *kind_sweep)
-    x0, y0, x1, y1 = _box(seg)
-    for u in [0.0, seg.length, *(rng.uniform(0.0, seg.length) for _ in range(200))]:
-        x, y, _ = seg.point_at(u)
-        assert x0 <= x <= x1 and y0 <= y <= y1
-    if seg.kind == "arc" and abs(seg.curvature) * seg.length <= math.pi:
-        # a short arc never gets the whole circle's box
-        r = 1.0 / abs(seg.curvature)
-        assert x1 - x0 < 2 * r or y1 - y0 < 2 * r
-
-
-def test_box_of_a_many_turn_arc_is_the_circle_box():
-    # ~8e13 turns: a construction that did work per turn would not finish
-    seg = PathSegment(kind="arc", start=(1.0, 2.0), start_heading=0.3, length=1e15,
-                      curvature=0.5)
-    cx, cy = seg.center()
-    assert _box(seg) == pytest.approx((cx - 2.0, cy - 2.0, cx + 2.0, cy + 2.0), abs=1e-8)
-
-
-@pytest.mark.parametrize("path", PROJECTION_PATHS)
-def test_clearance_is_a_lower_bound_on_segment_distance(path):
-    rng = np.random.default_rng(5)
-    n = len(path.segments)
-    for k in range(n):
-        for j in range(n):
-            if abs(j - k) < 2:
-                continue
-            a, b = path.segments[k], path.segments[j]
-            pa = [a.point_at(u)[:2] for u in rng.uniform(0.0, a.length, 30)]
-            pb = [b.point_at(u)[:2] for u in rng.uniform(0.0, b.length, 30)]
-            assert min(math.dist(p, q) for p in pa for q in pb) >= path._clearance[k]
