@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import DomainError, ParameterError, SingularityError
+from .errors import DomainError, ParameterError, SingularityError, require_positive
+from .paths import _new_tuple
 from .vehicle import SINGULARITY_EPS, ImplementConfig, Measurements, VehicleConfig
 
 
@@ -29,8 +30,7 @@ class OptimalParams:
     s_t: float        # m, sampling step
 
     def __post_init__(self):
-        if min(self.lam, self.k_theta, self.s_h, self.s_t) <= 0:
-            raise ParameterError("lam, k_theta, s_h, s_t must all be > 0")
+        require_positive(self, ("lam", "k_theta", "s_h", "s_t"))
         if self.s_t > self.s_h:
             raise ParameterError("s_t must not exceed s_h")
         if not math.isfinite(self.s_h / self.s_t):
@@ -49,8 +49,7 @@ class BaselineParams:
     k_theta: float  # 1/m
 
     def __post_init__(self):
-        if self.k_y <= 0 or self.k_theta <= 0:
-            raise ParameterError("baseline gains must be > 0")
+        require_positive(self, ("k_y", "k_theta"))
 
 
 @dataclass(frozen=True)
@@ -193,10 +192,9 @@ def optimal_control_step(meas: Measurements, params: OptimalParams,
     delta, clamped = steering_command(th, theta_d, meas.curvature_now, meas.frenet.y,
                                       params.k_theta, cfg.wheelbase, cfg.steer_limit)
     e1 = e_I_prime(th, alpha, gamma, imp)
-    # positional, in ControlCommand field order: keywords cost about twice as much
-    return ControlCommand(delta, theta_d, xi_d, clamped, False,
-                          {"e_I": meas.e_I, "e_I_prime": e1, "e_I_second": e2,
-                           "alpha": alpha, "gamma": gamma, "n_h": params.n_h})
+    return _new_tuple(ControlCommand, (delta, theta_d, xi_d, clamped, False,
+                                       {"e_I": meas.e_I, "e_I_prime": e1, "e_I_second": e2,
+                                        "alpha": alpha, "gamma": gamma, "n_h": params.n_h}))
 
 
 def backstepping_control_step(meas: Measurements, params: BaselineParams,
@@ -211,8 +209,8 @@ def backstepping_control_step(meas: Measurements, params: BaselineParams,
     delta, clamped = steering_command(meas.frenet.theta_tilde, theta_d, meas.curvature_now,
                                       meas.frenet.y, params.k_theta, cfg.wheelbase,
                                       cfg.steer_limit)
-    return ControlCommand(delta, theta_d, 0.0, clamped, False,
-                          {"e_I": meas.e_I, "alpha": alpha, "gamma": gamma})
+    return _new_tuple(ControlCommand, (delta, theta_d, 0.0, clamped, False,
+                                       {"e_I": meas.e_I, "alpha": alpha, "gamma": gamma}))
 
 
 def lateral_servoing_control_step(meas: Measurements, params: BaselineParams,
@@ -227,9 +225,9 @@ def lateral_servoing_control_step(meas: Measurements, params: BaselineParams,
                                      - params.k_theta * th - params.k_y * y_err * ct))
     clamped = abs(raw) > cfg.steer_limit
     delta = max(-cfg.steer_limit, min(cfg.steer_limit, raw))
-    return ControlCommand(delta, 0.0, 0.0, clamped, False,
-                          {"e_I": meas.e_I, "alpha": alpha,
-                           "y_desired": meas.frenet.y - meas.e_I})
+    return _new_tuple(ControlCommand, (delta, 0.0, 0.0, clamped, False,
+                                       {"e_I": meas.e_I, "alpha": alpha,
+                                        "y_desired": meas.frenet.y - meas.e_I}))
 
 
 class Controller:
@@ -285,8 +283,8 @@ def BacksteppingController(params: BaselineParams, imp: ImplementConfig,
     state anyway, so the e_I' = -k_y e_I design target is preserved there.
     """
     return Controller("backstepping", lambda meas: backstepping_control_step(
-        Measurements(meas.frenet, 0.0, meas.e_I, meas.curvature_now,
-                     meas.curvature_at_horizon),
+        _new_tuple(Measurements, (meas.frenet, 0.0, meas.e_I, meas.curvature_now,
+                                  meas.curvature_at_horizon)),
         params, imp, cfg))
 
 

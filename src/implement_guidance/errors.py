@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the field check that
+configuration objects share."""
+
+import math
 
 
 class GuidanceError(Exception):
@@ -23,6 +26,15 @@ class DomainError(GuidanceError):
 
 class ParameterError(GuidanceError):
     """Controller or scenario parameters violate their invariants."""
+
+
+def require_positive(obj, names: tuple[str, ...]) -> None:
+    """Raise ParameterError naming the first of obj's fields `names` that is
+    not a finite number > 0 (NaN and +inf included)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
 
 
 class ScenarioError(GuidanceError):

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .controllers import CONTROLLERS, BaselineParams, Controller, OptimalParams
 from .errors import ParameterError, SingularityError
-from .paths import FrenetState, Projection, ReferencePath
+from .paths import FrenetState, Projection, ReferencePath, _new_tuple
 from .presets import TABLE1, TABLE2, REAR_IMPLEMENT
 from .vehicle import (
     ImplementConfig,
@@ -184,11 +184,12 @@ def run_scenario(scn: Scenario) -> RunLog:
             if noise.enabled:
                 # 0.0 + std * z is normal(0.0, std) bit for bit, drawn y, theta, omega
                 s, y, theta_tilde = meas.frenet
-                noisy = FrenetState(s, y + (0.0 + noise.y_std * z()),
-                                    theta_tilde + (0.0 + noise.theta_std * z()))
-                meas = Measurements(noisy, meas.omega_bar + (0.0 + noise.omega_std * z()),
-                                    implement_error_measured(noisy, scn.implement),
-                                    meas.curvature_now, meas.curvature_at_horizon)
+                noisy = _new_tuple(FrenetState, (s, y + (0.0 + noise.y_std * z()),
+                                                 theta_tilde + (0.0 + noise.theta_std * z())))
+                meas = _new_tuple(Measurements, (
+                    noisy, meas.omega_bar + (0.0 + noise.omega_std * z()),
+                    implement_error_measured(noisy, scn.implement),
+                    meas.curvature_now, meas.curvature_at_horizon))
             cmd = controller.step(meas)
             delta_cmd = cmd.delta_desired
             theta_d = cmd.theta_desired
@@ -218,18 +219,17 @@ def _standard_normals(rng):
 
 
 def _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault):
-    frenet = proj.frenet
-    s, y, theta_tilde = frenet
+    s, y, theta_tilde = proj.frenet
     imp = scn.implement
-    # positional, in LogRecord field order: keywords would double the cost of the record
-    log.records.append(LogRecord(
+    log.records.append(_new_tuple(LogRecord, (
         t, s, y, theta_tilde,
         implement_error_exact(pose, imp, path, s + imp.I_s),
-        implement_error_measured(frenet, imp),
+        # implement_error_measured, with its floats
+        y + imp.I_s * math.sin(theta_tilde) + imp.I_y * math.cos(theta_tilde),
         delta_cmd, pose.steer, theta_d,
         path.labels[proj.segment],
         fault,
-    ))
+    )))
 
 
 def _lerp(a: float, b: float, t: float) -> float:
@@ -356,17 +356,21 @@ def write_csv(log: RunLog, fh) -> None:
     round-trip formatting so write -> parse -> write is byte-identical."""
     fh.write(CSV_HEADER + "\n")
     # a held command is the same float object row after row: format it once
-    last_cmd = last_theta = None
+    last_cmd = last_theta = last_actual = None
     for (t, s, y, theta_tilde, e_exact, e_measured, d_cmd, d_actual, theta_d, segment,
          fault) in log.records:
         if d_cmd is not last_cmd:
             last_cmd, cmd_text = d_cmd, repr(d_cmd)
         if theta_d is not last_theta:
             last_theta, theta_text = theta_d, repr(theta_d)
+        # a steer that has reached its command repeats as a new float of the
+        # same value; equal nonzero floats print alike, 0.0 and -0.0 do not
+        if d_actual != last_actual or not d_actual:
+            last_actual, actual_text = d_actual, repr(d_actual)
         fh.write(",".join([
             repr(t), repr(s), repr(y), repr(theta_tilde),
             repr(e_exact), repr(e_measured),
-            cmd_text, repr(d_actual), theta_text,
+            cmd_text, actual_text, theta_text,
             segment, "1" if fault else "0",
         ]) + "\n")
 

@@ -21,6 +21,8 @@ _TWO_PI = 2.0 * math.pi
 # scale), so no segment that could enter the 1e-9 tie set is ever pruned.
 _PRUNE_SLACK = 1e-6
 _HALF_PI = math.pi / 2
+# builds a NamedTuple from its field values without the class's Python-level
+# __new__; the per-step values of every module are built with it
 _new_tuple = tuple.__new__
 
 

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import ParameterError, SingularityError
-from .paths import FrenetState, Projection, ReferencePath, wrap_angle
+from .errors import ParameterError, SingularityError, require_positive
+from .paths import FrenetState, Projection, ReferencePath, _new_tuple, wrap_angle
 
 SINGULARITY_EPS = 1e-6
 
@@ -26,20 +26,20 @@ class VehicleConfig:
     speed: float = 1.0              # m/s, strictly positive
 
     def __post_init__(self):
-        if self.wheelbase <= 0:
-            raise ParameterError("wheelbase must be > 0")
+        require_positive(self, ("wheelbase", "steer_rate_limit", "speed"))
         if not 0 < self.steer_limit < math.pi / 2:
-            raise ParameterError("steer_limit must be in (0, pi/2)")
-        if self.steer_rate_limit <= 0:
-            raise ParameterError("steer_rate_limit must be > 0")
-        if self.speed <= 0:
-            raise ParameterError("speed must be > 0")
+            raise ParameterError(f"steer_limit must be in (0, pi/2), got {self.steer_limit!r}")
 
 
 @dataclass(frozen=True)
 class ImplementConfig:
     I_s: float  # longitudinal offset from rear-axle center, m, signed
     I_y: float  # lateral offset, m, signed (positive left)
+
+    def __post_init__(self):
+        for name in ("I_s", "I_y"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 class VehiclePose(NamedTuple):
@@ -70,9 +70,13 @@ def implement_error_exact(pose: VehiclePose, imp: ImplementConfig, path: Referen
     """Ground-truth implement lateral error: project the implement point onto the path.
 
     `s_hint` is passed to `ReferencePath.project`, which then returns the
-    nearest point in a window around it rather than on the whole path.
+    nearest point in a window around it rather than on the whole path. The
+    point is `implement_world_position`, computed here with its floats.
     """
-    return path.project(implement_world_position(pose, imp), pose.heading, s_hint).frenet.y
+    x, y, heading, _ = pose
+    ch, sh = math.cos(heading), math.sin(heading)
+    return path.project((x + ch * imp.I_s - sh * imp.I_y, y + sh * imp.I_s + ch * imp.I_y),
+                        heading, s_hint).frenet.y
 
 
 def implement_error_measured(frenet: FrenetState, imp: ImplementConfig) -> float:
@@ -102,10 +106,9 @@ def measure(pose: VehiclePose, proj: Projection, path: ReferencePath,
     projection; c(s) is read from the segment it carries."""
     frenet = proj.frenet
     c = path.segments[proj.segment].curvature
-    # positional, in Measurements field order: keywords cost about twice as much
-    return Measurements(frenet, _yaw_rate(pose.steer, frenet, c, cfg),
-                        implement_error_measured(frenet, imp), c,
-                        path.curvature_ahead(frenet.s, horizon))
+    return _new_tuple(Measurements, (frenet, _yaw_rate(pose.steer, frenet, c, cfg),
+                                     implement_error_measured(frenet, imp), c,
+                                     path.curvature_ahead(frenet.s, horizon)))
 
 
 def integrate_pose(pose: VehiclePose, steer_fn: Callable[[float], float],
@@ -114,29 +117,21 @@ def integrate_pose(pose: VehiclePose, steer_fn: Callable[[float], float],
 
     The derivative (v cos psi, v sin psi, v tan(steer) / L) depends on the
     stage state through psi only, and its yaw rate on the stage time only, so
-    steer_fn runs once per distinct stage time (t0, t0 + dt/2, t0 + dt). A
-    stage whose steer is the same object as stage 1's (a held command) reuses
-    stage 1's yaw rate, and then stage 3 has stage 2's heading; an equal but
-    distinct float is not reused, so signed zeros stay exact.
+    steer_fn runs once per distinct stage time (t0, t0 + dt/2, t0 + dt).
+    `step` integrates a held command with the same floats in place.
     """
     v, L = cfg.speed, cfg.wheelbase
     x, y, psi = pose.x, pose.y_world, pose.heading
     half = dt / 2
-    d1 = steer_fn(t0)
-    d2 = steer_fn(t0 + half)  # stages 2 and 3
-    d4 = steer_fn(t0 + dt)
-    w1 = v * math.tan(d1) / L
-    w2 = w1 if d2 is d1 else v * math.tan(d2) / L
-    w4 = w1 if d4 is d1 else v * math.tan(d4) / L
+    w1 = v * math.tan(steer_fn(t0)) / L
+    w2 = v * math.tan(steer_fn(t0 + half)) / L  # stages 2 and 3
+    w4 = v * math.tan(steer_fn(t0 + dt)) / L
     psi2 = psi + half * w1
+    psi3 = psi + half * w2
     psi4 = psi + dt * w2
     k1x, k1y = v * math.cos(psi), v * math.sin(psi)
     k2x, k2y = v * math.cos(psi2), v * math.sin(psi2)
-    if d2 is d1:  # psi3 = psi + dt/2 * w1 = psi2
-        k3x, k3y = k2x, k2y
-    else:
-        psi3 = psi + half * w2
-        k3x, k3y = v * math.cos(psi3), v * math.sin(psi3)
+    k3x, k3y = v * math.cos(psi3), v * math.sin(psi3)
     k4x, k4y = v * math.cos(psi4), v * math.sin(psi4)
     return VehiclePose(x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x),
                        y + dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y),
@@ -159,6 +154,11 @@ def step(pose: VehiclePose, proj: Projection, steer_cmd: float, dt: float,
     of its abscissa. The moved pose is projected with the old abscissa as its
     hint, so s follows the path from where it was. Raises SingularityError
     when the osculating-circle guard |1 - c*y| trips before or after the step.
+
+    The pose moves by `integrate_pose` with the new steer held over the step,
+    bit for bit, computed in place: every stage has that steer's yaw rate w,
+    so stage 3 has stage 2's heading, and one tan and three cos/sin pairs
+    remain.
     """
     if dt <= 0:
         raise ParameterError("dt must be > 0")
@@ -166,13 +166,26 @@ def step(pose: VehiclePose, proj: Projection, steer_cmd: float, dt: float,
     if abs(1.0 - path.segments[proj.segment].curvature * frenet.y) < SINGULARITY_EPS:
         raise SingularityError(f"1 - c*y guard tripped at s={frenet.s}")
     new_steer = apply_steer_command(pose.steer, steer_cmd, dt, cfg)
-    moved = integrate_pose(VehiclePose(pose.x, pose.y_world, pose.heading, new_steer),
-                           lambda t: new_steer, 0.0, dt, cfg)
-    new_proj = path.project((moved.x, moved.y_world), moved.heading, frenet.s)
+    v = cfg.speed
+    x, y, psi, _ = pose
+    half = dt / 2
+    w = v * math.tan(new_steer) / cfg.wheelbase
+    psi2 = psi + half * w
+    psi4 = psi + dt * w
+    k1x, k1y = v * math.cos(psi), v * math.sin(psi)
+    k2x, k2y = v * math.cos(psi2), v * math.sin(psi2)
+    k4x, k4y = v * math.cos(psi4), v * math.sin(psi4)
+    x = x + dt / 6 * (k1x + 2 * k2x + 2 * k2x + k4x)
+    y = y + dt / 6 * (k1y + 2 * k2y + 2 * k2y + k4y)
+    psi = psi + dt / 6 * (w + 2 * w + 2 * w + w)
+    # wrap_angle, whose result is its argument in (-pi, pi]
+    if not -math.pi < psi <= math.pi:
+        psi = wrap_angle(psi)
+    new_proj = path.project((x, y), psi, frenet.s)
     new_frenet = new_proj.frenet
     if abs(1.0 - path.segments[new_proj.segment].curvature * new_frenet.y) < SINGULARITY_EPS:
         raise SingularityError(f"1 - c*y guard tripped at s={new_frenet.s}")
-    return moved, new_proj
+    return _new_tuple(VehiclePose, (x, y, psi, new_steer)), new_proj
 
 
 def pose_on_path(path: ReferencePath, s: float, lateral: float = 0.0,

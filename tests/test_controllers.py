@@ -82,6 +82,17 @@ def test_optimal_params_validation():
     assert REAR_PARAMS.n_h == 13  # round(2.0 / 0.15)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make, fields, name", [
+    (OptimalParams, {"lam": 0.1, "k_theta": 0.6, "s_h": 2.0, "s_t": 0.15}, name)
+    for name in ("lam", "k_theta", "s_h", "s_t")] + [
+    (BaselineParams, {"k_y": 0.2, "k_theta": 0.6}, name) for name in ("k_y", "k_theta")])
+def test_params_reject_non_finite(make, fields, name, value):
+    # min(nan, ...) and nan <= 0 let NaN through, and an infinite gain passed
+    with pytest.raises(ParameterError, match=name):
+        make(**{**fields, name: value})
+
+
 # ---------------------------------------------------------------- alpha_gamma
 
 def test_alpha_gamma():

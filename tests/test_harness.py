@@ -1,6 +1,7 @@
 import bisect
 import io
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from implement_guidance import harness
+from implement_guidance.controllers import Controller
 from implement_guidance.errors import ParameterError
 from implement_guidance.harness import (
     CSV_HEADER,
@@ -260,6 +262,29 @@ def test_plant_step_looks_up_no_segment(monkeypatch, which):
     assert calls == [scn.initial_s] * 2
 
 
+def test_run_calls_the_names_the_benchmark_traces(monkeypatch):
+    # bench/tracer.py patches these names where run_scenario looks them up:
+    # one `step` per plant step, one `implement_error_exact` per record, and
+    # one `measure` and one `Controller.step` per control step
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in ("step", "measure", "implement_error_exact"):
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    monkeypatch.setattr(Controller, "step", counting("Controller.step", Controller.step))
+    scn = straight_scenario(run_length=20.0)
+    log = run_scenario(scn)
+    n = len(log.records)
+    assert log.fault is None and log.records[-1].s >= scn.run_length
+    assert counts["step"] == n - 1
+    assert counts["implement_error_exact"] == n
+    assert counts["measure"] == counts["Controller.step"] == math.ceil(n / 10)
+
+
 # ------------------------------------------------------------------- faults
 
 def test_fault_truncates_log_without_raising():
@@ -467,6 +492,17 @@ def test_csv_round_trip_byte_identical():
     buf2 = io.StringIO()
     write_csv(reread, buf2)
     assert buf2.getvalue() == text
+
+
+def test_csv_formats_delta_actual_by_value_and_sign():
+    # a repeated delta_actual is formatted once; 0.0 == -0.0, but they print apart
+    values = [0.1, 0.1, 0.0, -0.0, -0.0, 0.0, 0.2, 0.1]
+    log = RunLog([LogRecord(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, d, 0.0, "L1", False)
+                  for d in values])
+    buf = io.StringIO()
+    write_csv(log, buf)
+    column = [row.split(",")[7] for row in buf.getvalue().splitlines()[1:]]
+    assert column == list(map(repr, values))
 
 
 def test_csv_bad_header_rejected():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from implement_guidance.errors import ParameterError, SingularityError
 from implement_guidance.harness import LogRecord
@@ -46,6 +46,24 @@ def test_vehicle_config_validation():
                    {"speed": 0.0}]:
         with pytest.raises(ParameterError):
             VehicleConfig(**kwargs)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("name", ["wheelbase", "steer_limit", "steer_rate_limit", "speed"])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_vehicle_config_rejects_non_finite(name, value):
+    # NaN passed the `<= 0` checks, and the plant step integrated it silently
+    with pytest.raises(ParameterError, match=name):
+        VehicleConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["I_s", "I_y"])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_implement_config_rejects_non_finite(name, value):
+    with pytest.raises(ParameterError, match=name):
+        ImplementConfig(**{"I_s": -2.0, "I_y": -0.5, name: value})
 
 
 # --------------------------------------------------- implement point geometry
@@ -287,8 +305,8 @@ def test_integrate_pose_equals_four_stage_reference_bit_for_bit(
 
 
 def test_integrate_pose_bit_for_bit_with_signed_zero_steer():
-    # 0.0 == -0.0, but they differ in sign; a yaw rate is reused only for the
-    # same object, so every mix of signs matches the four-stage reference
+    # 0.0 == -0.0, but they differ in sign: every mix of signs matches the
+    # four-stage reference
     zeros = (0.0, -0.0)
     for x in zeros:
         for heading in zeros:
@@ -299,6 +317,44 @@ def test_integrate_pose_bit_for_bit_with_signed_zero_steer():
                 new = integrate_pose(pose, steer_fn, 0.0, 0.01, CFG)
                 assert _bits(new) == _bits(
                     _reference_integrate_pose(pose, steer_fn, 0.0, 0.01, CFG))
+
+
+_HEADINGS_NEAR_PI = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                     math.nextafter(-math.pi, 0.0)]),
+    # the step's heading may end on either side of the wrap
+    st.floats(math.pi - 0.01, math.pi), st.floats(-math.pi, -math.pi + 0.01))
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@given(x=st.floats(-1e4, 1e4), y=st.floats(-1e4, 1e4), heading=_HEADINGS_NEAR_PI,
+       steer=st.one_of(_SIGNED_ZEROS, st.floats(-0.55, 0.55)),
+       steer_cmd=st.one_of(_SIGNED_ZEROS, st.floats(-0.55, 0.55), st.floats(-10.0, 10.0)),
+       dt=st.floats(1e-4, 0.5), speed=st.floats(0.1, 5.0), wheelbase=st.floats(0.5, 3.0),
+       rate=st.floats(0.05, 5.0))
+@example(x=0.0, y=0.0, heading=math.pi, steer=0.0, steer_cmd=10.0, dt=0.1,
+         speed=1.0, wheelbase=1.2, rate=0.8)  # the slew saturates, the heading wraps
+@example(x=0.0, y=0.0, heading=-math.pi, steer=0.5, steer_cmd=-10.0, dt=0.5,
+         speed=1.0, wheelbase=1.2, rate=5.0)  # the clamp binds, then the slew
+@example(x=-0.0, y=-0.0, heading=-0.0, steer=-0.0, steer_cmd=0.0, dt=0.01,
+         speed=1.0, wheelbase=1.2, rate=0.8)
+@example(x=0.0, y=0.0, heading=0.0, steer=0.0, steer_cmd=-0.0, dt=0.01,
+         speed=1.0, wheelbase=1.2, rate=0.8)
+def test_step_equals_integrate_pose_of_the_held_command_bit_for_bit(
+        x, y, heading, steer, steer_cmd, dt, speed, wheelbase, rate):
+    # `step` integrates the held command in place; `integrate_pose` with that
+    # command as its steer function is the reference
+    cfg = VehicleConfig(wheelbase=wheelbase, steer_rate_limit=rate, speed=speed)
+    path = straight()
+    start = Projection(FrenetState(10.0, 0.0, 0.0), 0)
+    moved, proj = step(VehiclePose(x, y, heading, steer), start, steer_cmd, dt, path, cfg)
+    new_steer = apply_steer_command(steer, steer_cmd, dt, cfg)
+    expected = integrate_pose(VehiclePose(x, y, heading, new_steer), lambda t: new_steer,
+                              0.0, dt, cfg)
+    assert type(moved) is VehiclePose
+    assert _bits(moved) == _bits(expected)
+    assert proj == path.project((expected.x, expected.y_world), expected.heading, 10.0)
 
 
 def test_integrate_pose_asks_steer_once_per_stage_time():
