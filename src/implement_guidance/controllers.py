@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -28,6 +28,8 @@ class OptimalParams:
     k_theta: float    # 1/m, heading gain
     s_h: float        # m, prediction horizon
     s_t: float        # m, sampling step
+    # horizon samples round(s_h / s_t), computed once here
+    n_h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_positive(self, ("lam", "k_theta", "s_h", "s_t"))
@@ -35,12 +37,9 @@ class OptimalParams:
             raise ParameterError("s_t must not exceed s_h")
         if not math.isfinite(self.s_h / self.s_t):
             raise ParameterError("s_h / s_t must be finite")
+        object.__setattr__(self, "n_h", round(self.s_h / self.s_t))
         if self.n_h < 1:
             raise ParameterError("horizon must contain at least one sample")
-
-    @property
-    def n_h(self) -> int:
-        return round(self.s_h / self.s_t)
 
 
 @dataclass(frozen=True)

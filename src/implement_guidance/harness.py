@@ -208,6 +208,12 @@ def run_scenario(scn: Scenario) -> RunLog:
             _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
             break
         t += scn.dt
+    else:
+        # the budget ran out; the last step may still have reached the length
+        if not proj.frenet.s >= scn.run_length:
+            log.fault = (f"plant-step budget of {max_steps} used up at s = {proj.frenet.s} m, "
+                         f"short of run_length {scn.run_length} m")
+            _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
     return log
 
 

@@ -84,14 +84,12 @@ class PathSegment:
             return x0 + u * self._cos, y0 + u * self._sin, self.start_heading
         cx, cy = self._center
         a = self.start_heading + c * u
-        return cx + math.sin(a) / c, cy - math.cos(a) / c, wrap_angle(a)
+        # wrap_angle, whose result is its argument in (-pi, pi]
+        return (cx + math.sin(a) / c, cy - math.cos(a) / c,
+                a if -math.pi < a <= math.pi else wrap_angle(a))
 
     def end_pose(self) -> tuple[float, float, float]:
         return self._end
-
-    def center(self) -> tuple[float, float] | None:
-        """Arc center; None for lines."""
-        return self._center
 
 
 class FrenetState(NamedTuple):
@@ -206,67 +204,29 @@ class ReferencePath:
         A hint thus keeps s on its row where another row, or another turn of
         the path, is nearer.
 
-        k's foot is computed here, with the float operations of
-        `_project_segment` and `point_at` in their order. When no neighbour's
-        bound passes, it goes straight to the tail with the normal of its
-        heading, and the tail evaluates k again in place only where the final
-        abscissa rounds to another u. Otherwise it is the candidate that
-        `_candidate` would give, so k is evaluated once either way.
+        k is projected once. Where the foot's abscissa s stays on k, k's point
+        at s is the result, and its distance is what the neighbours' bounds
+        are held to; where s leaves k or a bound passes, k's foot joins the
+        window as its candidate.
         """
         px, py = position
         cum = self.cumulative_lengths
+        total = self.total_length
         if s_hint is None:
             win, ambiguous = _nearest([self._candidate(i, px, py) for i in range(len(cum))])
         else:
             k = min(bisect_right(cum, s_hint), len(cum) - 1)
             seg = self.segments[k]
-            c = seg.curvature
-            length = seg.length
-            clamp_best = False
-            if c == 0.0:
-                x0, y0 = seg.start
-                cos_h, sin_h = seg._cos, seg._sin
-                u_best = (px - x0) * cos_h + (py - y0) * sin_h
-                if u_best < 0.0:
-                    u_best, clamp_best = 0.0, True
-                elif u_best > length:
-                    u_best, clamp_best = length, True
-                qx, qy, th = x0 + u_best * cos_h, y0 + u_best * sin_h, seg.start_heading
-                # -sin(th), cos(th): th is the start heading they were taken of
-                nx, ny = -sin_h, cos_h
-            else:
-                cx, cy = seg._center
-                h0 = seg.start_heading
-                ang = math.atan2(py - cy, px - cx)
-                # radial direction at arc length u has angle (h0 + c*u) -/+ pi/2
-                if c > 0:
-                    u_best = (ang + _HALF_PI - h0) / c
-                else:
-                    u_best = (ang - _HALF_PI - h0) / c
-                period = seg._period
-                u_best = math.fmod(u_best, period)
-                if u_best < 0.0:
-                    u_best += period
-                if u_best > length:
-                    # off the swept arc: nearer endpoint wins
-                    (sx, sy), (ex, ey, _) = seg.start, seg._end
-                    u_best = (0.0 if math.hypot(px - sx, py - sy) <= math.hypot(px - ex, py - ey)
-                              else length)
-                    clamp_best = True
-                a = h0 + c * u_best
-                sin_a, cos_a = math.sin(a), math.cos(a)
-                qx, qy = cx + sin_a / c, cy - cos_a / c
-                if -math.pi < a <= math.pi:
-                    # wrap_angle(a) is a itself, so the heading's sin and cos are these
-                    th, nx, ny = a, -sin_a, cos_a
-                else:
-                    th, nx = wrap_angle(a), None
-            d_best = math.hypot(px - qx, py - qy)
-            # cumulative start + u: the same float as a running sum of lengths
+            u, clamp_best = _project_segment(seg, px, py)
             s0 = cum[k - 1] if k > 0 else 0.0
-            s_best, i_best, in_place = s0 + u_best, k, True
+            # cumulative start + u: the same float as a running sum of lengths
+            s_best = s0 + u
+            s = min(s_best, total)
+            on_k = s0 <= s < cum[k]
+            # on k, the point at s as `point_at(s)` finds it; else k's foot
+            qx, qy, th = seg.point_at(s - s0 if on_k else u)
+            cut = math.hypot(px - qx, py - qy) + _PRUNE_SLACK
             # of k's neighbours, those whose bound passes can win or tie
-            cut = d_best + _PRUNE_SLACK
             bounds = self._bounds
             last = len(bounds) - 1
             before = after = None
@@ -278,52 +238,33 @@ class ReferencePath:
                 mx, my, half = bounds[k + 1]
                 if math.hypot(px - mx, py - my) - half <= cut:
                     after = self._candidate(k + 1, px, py)
-            if before or after:
-                hinted = (d_best, s_best, clamp_best, k, u_best, (qx, qy, th))
+            if on_k and not (before or after):
+                win, i, ambiguous = None, k, False
+            else:
+                if on_k:
+                    qx, qy, th = seg.point_at(u)
+                # k's candidate, as `_candidate` would give it
+                hinted = (math.hypot(px - qx, py - qy), s_best, clamp_best, k, u, (qx, qy, th))
                 win, ambiguous = self._window([cand for cand in (before, hinted, after) if cand],
                                               max(k - 1, 0), min(k + 1, last), px, py)
-            else:
-                win, ambiguous = None, False
         if win is not None:
             _, s_best, clamp_best, i_best, u_best, (qx, qy, th) = win
-            nx, in_place = None, False
-            s0 = cum[i_best - 1] if i_best > 0 else 0.0
-        total = self.total_length
-        # interior endpoint hits are junction duplicates, not clamping
-        clamped = clamp_best and (s_best <= 1e-12 or s_best >= total - 1e-12)
-        # the point at s as `point_at(s)` finds it, less the range check: s_best >= 0
-        s = min(s_best, total)
-        # the winner's segment when it holds s as `segment_index` would find
-        # it; else (at a junction, the path end, or between two equal
-        # cumulative lengths) the bisect
-        if s0 <= s < cum[i_best]:
-            i = i_best
-        else:
+            # the point at s as `point_at(s)` finds it, less the range check: s_best >= 0
+            s = min(s_best, total)
+            # the segment holding s, as `segment_index` finds it (not the
+            # winner's at a junction, the path end, or between two equal
+            # cumulative lengths)
             i = min(bisect_right(cum, s), len(cum) - 1)
             s0 = cum[i - 1] if i > 0 else 0.0
-        u_s = s - s0
-        # the winner's own point when it is `point_at` of the same float (a
-        # signed zero compares equal to the other, so a zero's sign is checked)
-        if not (i == i_best and u_s == u_best
-                and (u_s or math.copysign(1.0, u_s) == math.copysign(1.0, u_best))):
-            if not (in_place and i == i_best):
+            u_s = s - s0
+            # the winner's own point when it is `point_at` of the same float (a
+            # signed zero compares equal to the other, so a zero's sign is checked)
+            if not (i == i_best and u_s == u_best
+                    and (u_s or math.copysign(1.0, u_s) == math.copysign(1.0, u_best))):
                 qx, qy, th = self.segments[i].point_at(u_s)
-                nx = None
-            elif c == 0.0:
-                # segment k's `point_at(u_s)`, in place as above; a line's
-                # heading, and so its normal, is the same at every u
-                qx, qy = x0 + u_s * cos_h, y0 + u_s * sin_h
-            else:
-                a = h0 + c * u_s
-                sin_a, cos_a = math.sin(a), math.cos(a)
-                qx, qy = cx + sin_a / c, cy - cos_a / c
-                if -math.pi < a <= math.pi:
-                    th, nx, ny = a, -sin_a, cos_a
-                else:
-                    th, nx = wrap_angle(a), None
-        if nx is None:
-            nx, ny = -math.sin(th), math.cos(th)
-        y_signed = (px - qx) * nx + (py - qy) * ny
+        # interior endpoint hits are junction duplicates, not clamping
+        clamped = clamp_best and (s_best <= 1e-12 or s_best >= total - 1e-12)
+        y_signed = (px - qx) * -math.sin(th) + (py - qy) * math.cos(th)
         # wrap_angle, whose result is its argument in (-pi, pi]
         theta = heading - th
         if not -math.pi < theta <= math.pi:
@@ -361,14 +302,24 @@ class ReferencePath:
 
 def _nearest(candidates):
     """The winning candidate, at the smallest s among those within 1e-9 m of
-    the least distance, and whether another of those lies at a distinct s."""
+    the least distance (the first in list order on a tie), and whether
+    another of those lies more than 1e-6 m from it in s."""
     if len(candidates) == 1:
         return candidates[0], False
-    d_best = min(cand[0] for cand in candidates)
-    near = [cand for cand in candidates if cand[0] <= d_best + 1e-9]
-    near.sort(key=lambda cand: cand[1])
-    # two candidates at distinct abscissae within tolerance: genuinely ambiguous
-    return near[0], any(abs(cand[1] - near[0][1]) > 1e-6 for cand in near[1:])
+    d_best = candidates[0][0]
+    for cand in candidates:
+        if cand[0] < d_best:
+            d_best = cand[0]
+    cut = d_best + 1e-9
+    win = None
+    for cand in candidates:
+        if cand[0] <= cut and (win is None or cand[1] < win[1]):
+            win = cand
+    for cand in candidates:
+        # two candidates at distinct abscissae within tolerance: genuinely ambiguous
+        if cand[0] <= cut and cand[1] - win[1] > 1e-6:
+            return win, True
+    return win, False
 
 
 def _project_segment(seg: PathSegment, px: float, py: float) -> tuple[float, bool]:
@@ -389,9 +340,9 @@ def _project_segment(seg: PathSegment, px: float, py: float) -> tuple[float, boo
     ang = math.atan2(py - cy, px - cx)
     # radial direction at arc length u has angle (h + c*u) -/+ pi/2 for c >/< 0
     if c > 0:
-        u = (ang + math.pi / 2 - seg.start_heading) / c
+        u = (ang + _HALF_PI - seg.start_heading) / c
     else:
-        u = (ang - math.pi / 2 - seg.start_heading) / c
+        u = (ang - _HALF_PI - seg.start_heading) / c
     period = seg._period
     u = math.fmod(u, period)
     if u < 0.0:

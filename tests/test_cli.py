@@ -331,6 +331,31 @@ def test_controller_domain_fault_exits_3_with_its_log(tmp_path, capsys):
     assert records and records[-1].fault
 
 
+@pytest.mark.parametrize("old, new, s_final", [
+    ("initial_e_I_m 0.5", "initial_e_I_m 1e300", None),
+    ("[vehicle]\n", "[vehicle]\nspeed_m_s 1e300\n", 20.0),
+    ("[run]\n", "[run]\ndt_s 1e300\ncontrol_period_s 1e300\n", 20.0),
+], ids=["initial_e_I", "speed", "dt"])
+def test_run_that_uses_up_its_step_budget_exits_3(old, new, s_final, tmp_path, capsys):
+    # each of these stops short of the run length when its plant-step budget
+    # 3 * length / (speed * dt) + control_period / dt runs out: a fault
+    text = (SCENARIOS / "exp1_rear_optimal.scn").read_text()
+    assert old in text
+    p = tmp_path / "budget.scn"
+    p.write_text(text.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["--out-dir", str(out), "run", str(p)]) == 3
+    assert "simulation fault: plant-step budget of " in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert "short of run_length 47.27" in summary["fault"]
+    with open(out / "run.csv") as fh:
+        records = read_csv(fh).records
+    assert records[-1].fault and not any(r.fault for r in records[:-1])
+    assert records[-1].s < 47.27
+    if s_final is not None:
+        assert records[-1].s == s_final
+
+
 _PRESETS = sorted(f"table1_{placement}_{method}" for placement in ("front", "rear")
                   for method in ("optimal", "backstepping", "lateral_servoing"))
 

@@ -82,6 +82,16 @@ def test_optimal_params_validation():
     assert REAR_PARAMS.n_h == 13  # round(2.0 / 0.15)
 
 
+def test_optimal_params_store_n_h_outside_init_compare_and_repr():
+    # n_h is computed once, when the parameters are built, not per control step
+    params = OptimalParams(lam=0.1, k_theta=0.6, s_h=2.0, s_t=0.15)
+    assert vars(params)["n_h"] == 13
+    assert "n_h" not in repr(params)
+    assert params == REAR_PARAMS and hash(params) == hash(REAR_PARAMS)
+    with pytest.raises(TypeError):
+        OptimalParams(lam=0.1, k_theta=0.6, s_h=2.0, s_t=0.15, n_h=13)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("make, fields, name", [
     (OptimalParams, {"lam": 0.1, "k_theta": 0.6, "s_h": 2.0, "s_t": 0.15}, name)

@@ -4,9 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from implement_guidance.errors import PathConstructionError, RangeError
+from implement_guidance import paths
 from implement_guidance.paths import (
     FrenetState,
     PathSegment,
@@ -77,6 +78,18 @@ def test_point_at_matches_ode_integration():
         (px, py), ph, _ = path.point_at(min(s0, path.total_length))
         assert math.hypot(px - x, py - y) < 1e-9
         assert abs(wrap_angle(ph - h)) < 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-math.pi, math.pi), st.sampled_from([0.5, -0.5, 0.25, -2.0]),
+       st.floats(0.0, 30.0))
+@example(-math.pi, 0.5, 0.0)   # h0 + c*u = -pi: wraps to +pi
+@example(math.pi, 0.5, 0.0)    # = pi: kept
+@example(3.0, 0.5, 1.0)        # above pi
+@example(-3.0, -0.5, 1.0)      # below -pi
+def test_arc_point_heading_is_wrap_angle_bit_for_bit(h0, c, u):
+    seg = PathSegment(kind="arc", start=(1.0, -2.0), start_heading=h0, length=30.0, curvature=c)
+    assert seg.point_at(u)[2].hex() == wrap_angle(h0 + c * u).hex()
 
 
 def test_point_at_out_of_range():
@@ -165,7 +178,7 @@ def _oracle_project(path, px, py):
             xs = seg.start[0] + u * math.cos(seg.start_heading)
             ys = seg.start[1] + u * math.sin(seg.start_heading)
         else:
-            cx, cy = seg.center()
+            cx, cy = seg._center
             a = seg.start_heading + seg.curvature * u
             xs = cx + np.sin(a) / seg.curvature
             ys = cy - np.cos(a) / seg.curvature
@@ -420,7 +433,7 @@ def test_project_equals_full_scan_at_junctions_and_ends():
                   for ds in (-1e-7, 0.0, 1e-7, -2.0, 2.0)
                   for d in (-4.0, -1e-9, 0.0, 1e-9, 2.0, 4.0)]
         # headland arc centers are equidistant from a whole arc
-        points += [(*seg.center(), 0.0) for seg in path.segments[1::2]]
+        points += [(*seg._center, 0.0) for seg in path.segments[1::2]]
         projections = [path.project((px, py), h) for px, py, h in points]
         for (px, py, h), p in zip(points, projections):
             assert p == _full_scan_project(path, (px, py), h)
@@ -429,28 +442,70 @@ def test_project_equals_full_scan_at_junctions_and_ends():
 
 
 def test_project_tail_reuses_the_winning_point_only_when_exact(monkeypatch):
-    # the tail reuses the winner's point_at(u) when its own bisect names the
-    # same segment and the same u; a foot exactly at a junction or a path end
-    # (u = 0, u = length, clamped) is where it must call point_at instead
+    # a hinted call whose foot stays on its hint's segment k projects k once
+    # and evaluates one point, at u = s - s0: that point is the result. Every
+    # other call takes the tail, which reuses the winner's point_at(u) when
+    # its own bisect names the same segment and the same u; a foot exactly at
+    # a junction or a path end (u = 0, u = length, clamped) is where it must
+    # call point_at instead
     calls = []
     point_at, candidate = PathSegment.point_at, ReferencePath._candidate
+    project_segment = paths._project_segment
     monkeypatch.setattr(PathSegment, "point_at",
-                        lambda seg, u: calls.append("point") or point_at(seg, u))
+                        lambda seg, u: calls.append(("point", u)) or point_at(seg, u))
     monkeypatch.setattr(ReferencePath, "_candidate",
-                        lambda path, *a: calls.append("candidate") or candidate(path, *a))
-    tails = set()
+                        lambda path, *a: calls.append(("candidate",)) or candidate(path, *a))
+    monkeypatch.setattr(paths, "_project_segment",
+                        lambda seg, *a: calls.append(("segment", seg)) or project_segment(seg, *a))
+    tails, stayed = set(), 0
     for path in PROJECTION_PATHS:
-        for s in (0.0, *path.cumulative_lengths):
+        cum = path.cumulative_lengths
+        for s in (0.0, *cum):
             for ds in (-2.0, -1e-9, 0.0, 1e-9, 2.0):
                 for d in (-2.0, 0.0, 1e-9, 1.5):
                     px, py, h = _offset_point(path, s + ds, d)
                     expected = _full_scan_project(path, (px, py), h)
                     for hint in (None, s, s - 1e-6, s + 1e-6):
                         calls.clear()
-                        assert path.project((px, py), h, hint) == expected
-                        # one point per candidate, plus one when the tail falls back
-                        tails.add(calls.count("point") - calls.count("candidate"))
+                        p = path.project((px, py), h, hint)
+                        assert p == expected
+                        points = [call for call in calls if call[0] == "point"]
+                        candidates = calls.count(("candidate",))
+                        if hint is None:
+                            # one point per candidate, plus one when the tail falls back
+                            tails.add(len(points) - candidates)
+                            continue
+                        k = min(bisect.bisect_right(cum, hint), len(cum) - 1)
+                        s0 = cum[k - 1] if k > 0 else 0.0
+                        if not candidates and s0 <= p.frenet.s < cum[k]:
+                            stayed += 1
+                            assert calls == [("segment", path.segments[k]),
+                                             ("point", p.frenet.s - s0)]
+                        else:
+                            # k is projected once, beside each candidate
+                            assert calls.count(("segment", path.segments[k])) == 1
     assert tails == {0, 1}
+    assert stayed > 100
+
+
+def test_nearest_takes_the_smallest_s_within_1e_9_of_the_least_distance():
+    # candidates are (distance, s, ...); the tag names each one
+    def cand(d, s, tag):
+        return (d, s, False, tag, 0.0, None)
+    one = cand(math.inf, 5.0, "a")
+    assert paths._nearest([one]) == (one, False)
+    # within 1e-9 m of the least distance, the smallest s wins; not ambiguous
+    # while the others lie within 1e-6 m of it in s
+    near = [cand(1.0 + 5e-10, 3.0 + 5e-7, "a"), cand(1.0, 3.0 + 1e-7, "b"),
+            cand(1.0 + 1e-9 / 2, 3.0, "c"), cand(1.0 + 2e-9, 0.0, "far")]
+    assert paths._nearest(near) == (near[2], False)
+    # another near candidate more than 1e-6 m away in s: ambiguous
+    wide = near + [cand(1.0, 3.0 + 2e-6, "d")]
+    assert paths._nearest(wide) == (near[2], True)
+    # at equal s the first in list order wins
+    tie = [cand(2.0, 7.0, "x"), cand(2.0, 7.0, "y"), cand(2.0, 9.0, "z")]
+    assert paths._nearest(tie) == (tie[0], True)
+    assert paths._nearest(tie[:2]) == (tie[0], False)
 
 
 def test_project_tail_keeps_the_sign_of_a_zero_abscissa():
@@ -569,7 +624,7 @@ def _hex(p):
 # (start, start heading, length, curvature): the arcs' heading h0 + c*u
 # leaves (-pi, pi] above pi, at -pi and below it, or (sweep > 2*pi) on a
 # full turn; the zero starts and headings carry either sign
-IN_PLACE_SEGMENTS = (
+HINTED_SEGMENTS = (
     ((0.0, 0.0), 0.0, 10.0, 0.0), ((0.0, -0.0), -0.0, 5.0, 0.0),
     ((-0.0, 0.0), math.pi, 3.0, 0.0), ((3.1, -2.2), 0.7, 12.5, 0.0),
     ((1.0, 2.0), 3.0, 4.0, 0.5), ((1.0, 2.0), -3.0, 4.0, -0.5),
@@ -578,33 +633,30 @@ IN_PLACE_SEGMENTS = (
 )
 
 
-def test_in_place_foot_equals_full_scan_by_hex(monkeypatch):
-    # a hinted call evaluates its segment k in place; when no neighbour's
-    # bound passes, the tail reuses k's point and normal, or evaluates k again,
-    # in place, at the u of the final abscissa. Bit for bit, that is the full
-    # scan's `point_at` and sin/cos. Each segment is tried alone (where that u
-    # is the foot's) and after a lead-in line (where s - s0 may round it).
-    point_calls = []
-    point_at = PathSegment.point_at
-    monkeypatch.setattr(PathSegment, "point_at",
-                        lambda seg, u: point_calls.append(u) or point_at(seg, u))
+def test_hinted_foot_equals_full_scan_by_hex():
+    # a hinted call projects its segment k once and evaluates k's point at
+    # the final abscissa's u; bit for bit, that is the full scan's `point_at`
+    # and sin/cos. Each segment is tried alone (where that u is the foot's)
+    # and after lead-in lines of 7.3 m and 1e5 m (where s - s0 rounds it,
+    # after 1e5 m by many ulps).
     hits = {"above_pi": 0, "at_or_below_minus_pi": 0, "clamp_start": 0, "clamp_end": 0,
-            "u_zero": 0, "u_length": 0, "negative_zero_u": 0, "tail_in_place": 0}
+            "u_zero": 0, "u_length": 0, "negative_zero_u": 0, "rounded_u": 0}
     zeros = (0.0, -0.0)
-    lead = 7.3
-    for start, h0, length, c in IN_PLACE_SEGMENTS:
+    for start, h0, length, c in HINTED_SEGMENTS:
         kind = "line" if c == 0.0 else "arc"
         descriptor = {"kind": kind, "length_m": length, "curvature_per_m": c}
-        lead_start = (start[0] - lead * math.cos(h0), start[1] - lead * math.sin(h0))
-        for path in (build_path([descriptor], start=start, start_heading=h0),
-                     build_path([{"kind": "line", "length_m": lead}, descriptor],
-                                start=lead_start, start_heading=h0)):
+        paths_ = [build_path([descriptor], start=start, start_heading=h0)]
+        for lead in (7.3, 1e5):
+            lead_start = (start[0] - lead * math.cos(h0), start[1] - lead * math.sin(h0))
+            paths_.append(build_path([{"kind": "line", "length_m": lead}, descriptor],
+                                     start=lead_start, start_heading=h0))
+        for path in paths_:
             seg = path.segments[-1]
             s0 = path.cumulative_lengths[-2] if len(path.segments) > 1 else 0.0
             points = [(zx, zy) for zx in zeros for zy in zeros]
             points += [(seg.start[0] + zx, seg.start[1] + zy) for zx in zeros for zy in zeros]
-            if seg.center() is not None:
-                points.append(seg.center())
+            if seg._center is not None:
+                points.append(seg._center)
             for u in (0.0, length, length / 3, -1e-9, -0.5, -2.0, length + 1e-9,
                       length + 0.5, length + 2.0):
                 x, y, th = seg.point_at(u)
@@ -620,11 +672,8 @@ def test_in_place_foot_equals_full_scan_by_hex(monkeypatch):
                 hits["u_zero"] += not clamped and u == 0.0
                 hits["u_length"] += not clamped and u == length
                 hits["negative_zero_u"] += u == 0.0 and math.copysign(1.0, u) < 0
+                hits["rounded_u"] += abs((s0 + u) - s0 - u) > 100 * math.ulp(u)
                 expected = _hex(_full_scan_project(path, (px, py), 0.4))
                 for hint in (-0.0, s0, s0 + length, math.nan):
-                    point_calls.clear()
                     assert _hex(path.project((px, py), 0.4, hint)) == expected
-                    # the tail evaluated k at a rounded u without `point_at`
-                    hits["tail_in_place"] += (hint != -0.0 and not point_calls
-                                              and (s0 + u) - s0 != u)
     assert all(hits.values()), hits
