@@ -163,7 +163,9 @@ def steering_command(theta_tilde: float, theta_desired: float, curvature: float,
     raw = math.atan(wheelbase * (-k_theta * e_theta + curvature)
                     * math.cos(theta_tilde) / denom)
     clamped = abs(raw) > steer_limit
-    return max(-steer_limit, min(steer_limit, raw)), clamped
+    delta = raw if raw < steer_limit else steer_limit  # min(steer_limit, raw)
+    delta = delta if delta > -steer_limit else -steer_limit  # max(-steer_limit, delta)
+    return delta, clamped
 
 
 def _steer_from_gamma(gamma: float, curvature: float, theta_tilde: float,
@@ -222,8 +224,10 @@ def lateral_servoing_control_step(meas: Measurements, params: BaselineParams,
     y_err = meas.e_I  # y - y_d with y_d = y - e_I
     raw = math.atan(cfg.wheelbase * (meas.curvature_now * ct / alpha
                                      - params.k_theta * th - params.k_y * y_err * ct))
-    clamped = abs(raw) > cfg.steer_limit
-    delta = max(-cfg.steer_limit, min(cfg.steer_limit, raw))
+    lim = cfg.steer_limit
+    clamped = abs(raw) > lim
+    delta = raw if raw < lim else lim  # min(lim, raw)
+    delta = delta if delta > -lim else -lim  # max(-lim, delta)
     return _new_tuple(ControlCommand, (delta, 0.0, 0.0, clamped, False,
                                        {"e_I": meas.e_I, "alpha": alpha,
                                         "y_desired": meas.frenet.y - meas.e_I}))

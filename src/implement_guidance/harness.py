@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import compress, groupby
 from operator import attrgetter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .controllers import CONTROLLERS, BaselineParams, Controller, OptimalParams
 from .errors import ParameterError, SingularityError
@@ -29,9 +29,6 @@ from .vehicle import (
     pose_on_path,
     step,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CSV_HEADER = ("t_s,s_m,y_m,theta_tilde_rad,e_I_exact_m,e_I_measured_m,"
               "delta_cmd_rad,delta_actual_rad,theta_d_rad,segment,fault")
@@ -114,11 +111,6 @@ class LogRecord(NamedTuple):
 class RunLog:
     records: list[LogRecord] = field(default_factory=list)
     fault: str | None = None   # fault description when the run aborted
-
-    def column(self, name: str) -> np.ndarray:
-        import numpy as np  # imported here so that noise-off runs never load numpy
-
-        return np.array([getattr(r, name) for r in self.records])
 
 
 @dataclass(frozen=True)

@@ -179,9 +179,13 @@ class ReferencePath:
         clamp leaves [0, total_length] only for NaN, which both send to the
         last segment.
         """
-        s = min(max(s + ds, 0.0), self.total_length)
-        return self.segments[min(bisect_right(self.cumulative_lengths, s),
-                                 len(self.segments) - 1)].curvature
+        s += ds
+        s = 0.0 if 0.0 > s else s  # max(s + ds, 0.0)
+        total = self.total_length
+        s = total if total < s else s  # min(s, total_length)
+        k = bisect_right(self.cumulative_lengths, s)
+        last = len(self.segments) - 1
+        return self.segments[last if last < k else k].curvature  # min(k, last)
 
     def project(self, position: tuple[float, float], heading: float,
                 s_hint: float | None = None) -> Projection:
@@ -212,23 +216,25 @@ class ReferencePath:
         px, py = position
         cum = self.cumulative_lengths
         total = self.total_length
+        last = len(cum) - 1
         if s_hint is None:
             win, ambiguous = _nearest([self._candidate(i, px, py) for i in range(len(cum))])
         else:
-            k = min(bisect_right(cum, s_hint), len(cum) - 1)
+            k = bisect_right(cum, s_hint)
+            k = last if last < k else k  # min(k, last)
             seg = self.segments[k]
             u, clamp_best = _project_segment(seg, px, py)
             s0 = cum[k - 1] if k > 0 else 0.0
             # cumulative start + u: the same float as a running sum of lengths
             s_best = s0 + u
-            s = min(s_best, total)
+            s = total if total < s_best else s_best  # min(s_best, total)
+            u_s = s - s0
             on_k = s0 <= s < cum[k]
             # on k, the point at s as `point_at(s)` finds it; else k's foot
-            qx, qy, th = seg.point_at(s - s0 if on_k else u)
+            qx, qy, th = seg.point_at(u_s if on_k else u)
             cut = math.hypot(px - qx, py - qy) + _PRUNE_SLACK
             # of k's neighbours, those whose bound passes can win or tie
             bounds = self._bounds
-            last = len(bounds) - 1
             before = after = None
             if k > 0:
                 mx, my, half = bounds[k - 1]
@@ -241,20 +247,27 @@ class ReferencePath:
             if on_k and not (before or after):
                 win, i, ambiguous = None, k, False
             else:
-                if on_k:
+                # k's foot, unless the point at s is `point_at` of the same
+                # float already (the tail's test below)
+                if on_k and not (u_s == u and (u_s or math.copysign(1.0, u_s)
+                                               == math.copysign(1.0, u))):
                     qx, qy, th = seg.point_at(u)
                 # k's candidate, as `_candidate` would give it
                 hinted = (math.hypot(px - qx, py - qy), s_best, clamp_best, k, u, (qx, qy, th))
-                win, ambiguous = self._window([cand for cand in (before, hinted, after) if cand],
-                                              max(k - 1, 0), min(k + 1, last), px, py)
+                win, ambiguous = self._window(
+                    [cand for cand in (before, hinted, after) if cand],
+                    0 if 0 > k - 1 else k - 1,  # max(k - 1, 0)
+                    last if last < k + 1 else k + 1,  # min(k + 1, last)
+                    px, py)
         if win is not None:
             _, s_best, clamp_best, i_best, u_best, (qx, qy, th) = win
             # the point at s as `point_at(s)` finds it, less the range check: s_best >= 0
-            s = min(s_best, total)
+            s = total if total < s_best else s_best  # min(s_best, total)
             # the segment holding s, as `segment_index` finds it (not the
             # winner's at a junction, the path end, or between two equal
             # cumulative lengths)
-            i = min(bisect_right(cum, s), len(cum) - 1)
+            i = bisect_right(cum, s)
+            i = last if last < i else i  # min(i, last)
             s0 = cum[i - 1] if i > 0 else 0.0
             u_s = s - s0
             # the winner's own point when it is `point_at` of the same float (a
@@ -303,7 +316,8 @@ class ReferencePath:
 def _nearest(candidates):
     """The winning candidate, at the smallest s among those within 1e-9 m of
     the least distance (the first in list order on a tie), and whether
-    another of those lies more than 1e-6 m from it in s."""
+    another of those lies more than 1e-6 m from it in s. When no distance
+    compares (a NaN position), the first candidate, not ambiguous."""
     if len(candidates) == 1:
         return candidates[0], False
     d_best = candidates[0][0]
@@ -315,6 +329,8 @@ def _nearest(candidates):
     for cand in candidates:
         if cand[0] <= cut and (win is None or cand[1] < win[1]):
             win = cand
+    if win is None:
+        return candidates[0], False
     for cand in candidates:
         # two candidates at distinct abscissae within tolerance: genuinely ambiguous
         if cand[0] <= cut and cand[1] - win[1] > 1e-6:

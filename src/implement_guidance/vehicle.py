@@ -141,9 +141,13 @@ def integrate_pose(pose: VehiclePose, steer_fn: Callable[[float], float],
 
 def apply_steer_command(steer: float, steer_cmd: float, dt: float, cfg: VehicleConfig) -> float:
     """Clamp the command to the steer limit and slew from the current angle."""
-    target = max(-cfg.steer_limit, min(cfg.steer_limit, steer_cmd))
+    lim = cfg.steer_limit
+    target = steer_cmd if steer_cmd < lim else lim  # min(lim, steer_cmd)
+    target = target if target > -lim else -lim  # max(-lim, target)
     max_step = cfg.steer_rate_limit * dt
-    return steer + max(-max_step, min(max_step, target - steer))
+    d = target - steer
+    d = d if d < max_step else max_step  # min(max_step, d)
+    return steer + (d if d > -max_step else -max_step)  # max(-max_step, d)
 
 
 def step(pose: VehiclePose, proj: Projection, steer_cmd: float, dt: float,

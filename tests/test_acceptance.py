@@ -44,6 +44,8 @@ from implement_guidance.vehicle import (
     pose_on_path,
 )
 
+from support import column
+
 CFG = VehicleConfig()
 
 
@@ -101,8 +103,8 @@ def test_criterion_2_steady_state_convergence():
                    params=params, run_length=55.0,
                    initial_y=initial_lateral_for_error(0.5, imp))
     log = run_scenario(scn)
-    s = log.column("s")
-    e = np.abs(log.column("e_I_exact"))
+    s = column(log, "s")
+    e = np.abs(column(log, "e_I_exact"))
     idx = np.nonzero(e < 0.02)[0]
     converged_s = s[idx[0]] if idx.size else math.inf
     stays = bool(idx.size) and bool(np.all(e[s >= converged_s] < 0.02))
@@ -182,8 +184,8 @@ def test_criterion_5_anticipation():
                        params=params, run_length=30.0,
                        initial_y=initial_lateral_for_error(0.0, imp))
         log = run_scenario(scn)
-        s = log.column("s")
-        d = log.column("delta_cmd")
+        s = column(log, "s")
+        d = column(log, "delta_cmd")
         steady = d[(s > 5.0) & (s < 10.0)].mean()
         dev = np.abs(d - steady) > 1e-6
         firsts[method] = float(s[np.nonzero(dev & (s > 10.0))[0][0]])

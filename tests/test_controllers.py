@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from implement_guidance.vehicle import (
     measure,
     pose_on_path,
 )
+
+from support import column, edge_floats
 
 CFG = VehicleConfig()
 REAR = ImplementConfig(I_s=-2.0, I_y=-0.5)
@@ -286,6 +289,53 @@ def test_steering_command():
         steering_command(0.0, 0.0, 0.1, 10.0, 0.6, 1.2, 0.55)
 
 
+def _builtin_clamp(raw, limit):
+    """The steering clamp as builtin min/max."""
+    return max(-limit, min(limit, raw))
+
+
+def test_steering_command_clamp_equals_its_builtin_form_bit_for_bit():
+    # raw = atan(L (-k_theta (theta - theta_d) + c) cos(theta) / (1 - c y)),
+    # taken here at random states, at NaN (theta NaN) and at +-0.0 (c = +-0.0
+    # with theta = theta_d = 0); each limit of edge_floats(|raw|) puts the
+    # clamp at NaN, +-0.0, +-inf, +-|raw| or one ulp beside it
+    rng = random.Random(5)
+    states = [(rng.uniform(-1.2, 1.2), rng.uniform(-1.0, 1.0), rng.uniform(-0.4, 0.4),
+               rng.uniform(-1.0, 1.0)) for _ in range(30)]
+    states += [(math.nan, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, -0.0, 0.0)]
+    for theta, theta_d, c, y in states:
+        raw = math.atan(1.2 * (-0.6 * (theta - theta_d) + c) * math.cos(theta) / (1.0 - c * y))
+        for limit in edge_floats(abs(raw), seed=6, n=5) + [0.55]:
+            delta, clamped = steering_command(theta, theta_d, c, y, 0.6, 1.2, limit)
+            assert delta.hex() == _builtin_clamp(raw, limit).hex(), (theta, limit)
+            assert clamped == (abs(raw) > limit)
+
+
+def test_lateral_servoing_clamp_equals_its_builtin_form_bit_for_bit():
+    # a stand-in for VehicleConfig that skips its checks, so that the clamp
+    # also meets the limits NaN, +-0.0, +-inf and -|raw|
+    class Cfg:
+        speed, wheelbase = 1.0, 1.2
+
+    params = BaselineParams(0.1, 0.8)
+    rng = random.Random(7)
+    measurements = [meas_of(y=rng.uniform(-1.0, 1.0), theta=rng.uniform(-1.2, 1.2),
+                            c_now=rng.uniform(-0.4, 0.4)) for _ in range(30)]
+    # raw NaN, 0.0 and -0.0
+    on_line = ImplementConfig(I_s=-2.0, I_y=0.0)
+    measurements += [meas_of(theta=math.nan), meas_of(imp=on_line),
+                     meas_of(c_now=-0.0, imp=on_line)]
+    for meas in measurements:
+        th, ct = meas.frenet.theta_tilde, math.cos(meas.frenet.theta_tilde)
+        alpha = 1.0 - meas.curvature_now * meas.frenet.y
+        raw = math.atan(1.2 * (meas.curvature_now * ct / alpha - 0.8 * th - 0.1 * meas.e_I * ct))
+        for limit in edge_floats(abs(raw), seed=8, n=5) + [0.55]:
+            Cfg.steer_limit = limit
+            cmd = lateral_servoing_control_step(meas, params, REAR, Cfg)
+            assert cmd.delta_desired.hex() == _builtin_clamp(raw, limit).hex(), (th, limit)
+            assert cmd.clamped == (abs(raw) > limit)
+
+
 # --------------------------------------------------------------- optimal step
 
 def test_optimal_zero_error_fixed_point():
@@ -401,8 +451,8 @@ def test_backstepping_monotone_decay_on_straight():
                    params=params, run_length=55.0,
                    initial_y=initial_lateral_for_error(0.5, imp))
     log = run_scenario(scn)
-    e = np.abs(log.column("e_I_exact"))
-    s = log.column("s")
+    e = np.abs(column(log, "e_I_exact"))
+    s = column(log, "s")
     # damped ringing: the per-window peak envelope decays and the run settles
     peaks = [e[(s >= lo) & (s < lo + 10.0)].max() for lo in (0.0, 10.0, 20.0, 30.0, 40.0)]
     assert all(b < a for a, b in zip(peaks, peaks[1:]))

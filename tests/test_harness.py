@@ -1,6 +1,8 @@
 import bisect
+import builtins
 import io
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -30,6 +32,8 @@ from implement_guidance.harness import (
 from implement_guidance.paths import ReferencePath, build_experiment_path, build_path
 from implement_guidance.presets import REAR_IMPLEMENT, TABLE1, TABLE2
 from implement_guidance.vehicle import ImplementConfig, VehicleConfig
+
+from support import column
 
 CFG = VehicleConfig()
 
@@ -262,6 +266,56 @@ def test_plant_step_looks_up_no_segment(monkeypatch, which):
     assert calls == [scn.initial_s] * 2
 
 
+def _guard_runs():
+    """Each run at a shorter and a longer length: a 100 Hz straight line, a
+    field row into its headland turn and a lateral-servoing exp1 run, all
+    with noise on."""
+    noise = NoiseSpec(enabled=True)
+    field = _closed_loop_scenarios()[0]
+    imp, params = TABLE1[("lateral_servoing", "rear")]
+    servoing = Scenario(path=build_experiment_path("exp1"), vehicle=CFG, implement=imp,
+                        method="lateral_servoing", params=params, run_length=10.0,
+                        initial_y=initial_lateral_for_error(0.5, imp), noise=noise, seed=2)
+    return {
+        "line_100hz": [straight_scenario(run_length=length, control_period=0.01, noise=noise)
+                       for length in (4.0, 12.0)],
+        "field": [replace(field, run_length=field.initial_s + 5.0), field],
+        "lateral_servoing": [servoing, replace(servoing, run_length=30.0)],
+    }
+
+
+@pytest.mark.parametrize("which", ["line_100hz", "field", "lateral_servoing"])
+def test_plant_step_calls_no_builtin_min_or_max(monkeypatch, which):
+    # the per-step clamps and bounds are written inline; a run makes only
+    # its start's calls: segment_index of the start state and of the start
+    # pose, and the optimal controller's max(I_s, 0.0) for its horizon
+    calls = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_globals.get("__name__", "").startswith("implement_guidance."):
+                calls.append((caller.f_code.co_name, real.__name__))
+            return real(*args, **kwargs)
+        return wrapper
+    runs = _guard_runs()[which]
+    counts, lengths = [], []
+    for scn in runs:
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(builtins, "min", counting(min))
+            mp.setattr(builtins, "max", counting(max))
+            log = run_scenario(scn)
+        assert log.fault is None
+        counts.append(sorted(calls))
+        lengths.append(len(log.records))
+    start = [("segment_index", "min")] * 2
+    if runs[0].method == "optimal":
+        start.append(("OptimalController", "max"))
+    assert counts == [sorted(start)] * 2
+    assert lengths[1] > 2 * lengths[0] > 500
+
+
 def test_run_calls_the_names_the_benchmark_traces(monkeypatch):
     # bench/tracer.py patches these names where run_scenario looks them up:
     # one `step` per plant step, one `implement_error_exact` per record, and
@@ -310,8 +364,8 @@ def test_run_stops_at_run_length():
 
 def test_summarize_quantiles_and_windows():
     log = run_scenario(straight_scenario())
-    s = log.column("s")
-    e = np.abs(log.column("e_I_exact"))
+    s = column(log, "s")
+    e = np.abs(column(log, "e_I_exact"))
     summary = summarize(log, junctions=(20.0,), horizon=2.0)
     kept = e[s >= s[0] + 5.0]
     assert summary.n_samples == kept.size
@@ -327,8 +381,8 @@ def test_summarize_quantiles_and_windows():
 
 def _reference_summarize(log, junctions=(), horizon=0.0, skip_s=5.0, window_pad=3.0):
     """summarize as it was written with numpy, kept as the reference."""
-    s = log.column("s")
-    e = np.abs(log.column("e_I_exact"))
+    s = column(log, "s")
+    e = np.abs(column(log, "e_I_exact"))
     keep = s >= s[0] + skip_s
     sample = e[keep] if keep.any() else e
     per_segment = {}
@@ -462,8 +516,8 @@ def test_front_optimal_anticipates_junction_at_the_implement():
     rear = replace(scn, implement=rear_imp, params=rear_params)
     assert rear.make_controller().horizon == rear_params.s_h
     log = run_scenario(scn)
-    s = log.column("s")
-    d = log.column("delta_cmd")
+    s = column(log, "s")
+    d = column(log, "delta_cmd")
     steady = d[(s > 5.0) & (s < 10.0)].mean()
     dev = np.abs(d - steady) > 1e-6
     first = float(s[np.nonzero(dev & (s > 10.0))[0][0]])
@@ -475,7 +529,7 @@ def test_front_optimal_anticipates_junction_at_the_implement():
 def test_logged_steer_respects_actuator_limits():
     log = run_scenario(straight_scenario(path=build_experiment_path("exp1"),
                                          run_length=45.0))
-    d = log.column("delta_actual")
+    d = column(log, "delta_actual")
     assert np.all(np.abs(d) <= CFG.steer_limit + 1e-12)
     assert np.all(np.abs(np.diff(d)) <= CFG.steer_rate_limit * 0.01 + 1e-12)
 

@@ -447,17 +447,22 @@ def test_project_tail_reuses_the_winning_point_only_when_exact(monkeypatch):
     # other call takes the tail, which reuses the winner's point_at(u) when
     # its own bisect names the same segment and the same u; a foot exactly at
     # a junction or a path end (u = 0, u = length, clamped) is where it must
-    # call point_at instead
+    # call point_at instead. Before the window, a hinted call evaluates k's
+    # point once, and a second time only for k's foot u where s - s0 is
+    # another float
     calls = []
     point_at, candidate = PathSegment.point_at, ReferencePath._candidate
     project_segment = paths._project_segment
+    window = ReferencePath._window
     monkeypatch.setattr(PathSegment, "point_at",
-                        lambda seg, u: calls.append(("point", u)) or point_at(seg, u))
+                        lambda seg, u: calls.append(("point", seg, u)) or point_at(seg, u))
     monkeypatch.setattr(ReferencePath, "_candidate",
                         lambda path, *a: calls.append(("candidate",)) or candidate(path, *a))
     monkeypatch.setattr(paths, "_project_segment",
                         lambda seg, *a: calls.append(("segment", seg)) or project_segment(seg, *a))
-    tails, stayed = set(), 0
+    monkeypatch.setattr(ReferencePath, "_window",
+                        lambda path, *a: calls.append(("window",)) or window(path, *a))
+    tails, stayed, reused = set(), 0, 0
     for path in PROJECTION_PATHS:
         cum = path.cumulative_lengths
         for s in (0.0, *cum):
@@ -476,16 +481,42 @@ def test_project_tail_reuses_the_winning_point_only_when_exact(monkeypatch):
                             tails.add(len(points) - candidates)
                             continue
                         k = min(bisect.bisect_right(cum, hint), len(cum) - 1)
+                        seg = path.segments[k]
                         s0 = cum[k - 1] if k > 0 else 0.0
                         if not candidates and s0 <= p.frenet.s < cum[k]:
                             stayed += 1
-                            assert calls == [("segment", path.segments[k]),
-                                             ("point", p.frenet.s - s0)]
+                            assert calls == [("segment", seg), ("point", seg, p.frenet.s - s0)]
+                            continue
+                        # k is projected once, beside each candidate
+                        assert calls.count(("segment", seg)) == 1
+                        u, _ = project_segment(seg, px, py)
+                        s_k = min(s0 + u, path.total_length)
+                        u_s = s_k - s0
+                        before_window = calls[:calls.index(("window",))]
+                        k_points = [call for call in before_window
+                                    if call[0] == "point" and call[1] is seg]
+                        if s0 <= s_k < cum[k] and u_s.hex() != u.hex():
+                            assert k_points == [("point", seg, u_s), ("point", seg, u)]
                         else:
-                            # k is projected once, beside each candidate
-                            assert calls.count(("segment", path.segments[k])) == 1
+                            reused += s0 <= s_k < cum[k]
+                            assert len(k_points) == 1
     assert tails == {0, 1}
     assert stayed > 100
+    assert reused > 10
+
+
+@pytest.mark.parametrize("path", [build_experiment_path("exp1"),
+                                  build_path([{"kind": "line", "length_m": 10.0}])],
+                         ids=["exp1", "one_line"])
+def test_project_of_a_nan_position_without_a_hint_equals_the_hinted_call(path):
+    # every distance is NaN, so no candidate is within 1e-9 m of the least;
+    # without a hint, a path of two or more segments then had no winner
+    hinted = path.project((math.nan, 0.0), 0.0, 0.0)
+    unhinted = path.project((math.nan, 0.0), 0.0)
+    assert _hex(unhinted) == _hex(hinted)
+    assert math.isnan(hinted.frenet.s) and math.isnan(hinted.frenet.y)
+    assert (hinted.segment, hinted.clamped, hinted.ambiguous) == (len(path.segments) - 1,
+                                                                  False, False)
 
 
 def test_nearest_takes_the_smallest_s_within_1e_9_of_the_least_distance():
@@ -494,6 +525,9 @@ def test_nearest_takes_the_smallest_s_within_1e_9_of_the_least_distance():
         return (d, s, False, tag, 0.0, None)
     one = cand(math.inf, 5.0, "a")
     assert paths._nearest([one]) == (one, False)
+    # no distance compares (a NaN position): the first candidate
+    nans = [cand(math.nan, 2.0, "a"), cand(math.nan, 1.0, "b")]
+    assert paths._nearest(nans) == (nans[0], False)
     # within 1e-9 m of the least distance, the smallest s wins; not ambiguous
     # while the others lie within 1e-6 m of it in s
     near = [cand(1.0 + 5e-10, 3.0 + 5e-7, "a"), cand(1.0, 3.0 + 1e-7, "b"),

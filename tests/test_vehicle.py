@@ -30,6 +30,8 @@ from implement_guidance.vehicle import (
     yaw_rate_from_steer,
 )
 
+from support import edge_floats
+
 CFG = VehicleConfig()
 REAR = ImplementConfig(I_s=-2.0, I_y=-0.5)
 
@@ -398,6 +400,28 @@ def test_apply_steer_command_clamps_and_slews():
     assert apply_steer_command(0.0, 10.0, 0.1, CFG) == pytest.approx(CFG.steer_rate_limit * 0.1)
     assert apply_steer_command(0.54, 10.0, 1.0, CFG) == pytest.approx(CFG.steer_limit)
     assert apply_steer_command(0.1, 0.1, 0.1, CFG) == 0.1
+
+
+def _builtin_apply_steer_command(steer, steer_cmd, dt, cfg):
+    """apply_steer_command with its clamps written as builtin min/max."""
+    target = max(-cfg.steer_limit, min(cfg.steer_limit, steer_cmd))
+    max_step = cfg.steer_rate_limit * dt
+    return steer + max(-max_step, min(max_step, target - steer))
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.1])
+def test_apply_steer_command_equals_its_builtin_form_bit_for_bit(dt):
+    # float.hex tells NaN, the sign of a zero and one ulp apart; the steers
+    # include those one slew step inside each limit, where target - steer is
+    # +-max_step or its neighbour
+    lim, max_step = CFG.steer_limit, CFG.steer_rate_limit * dt
+    commands = edge_floats(lim, seed=1)
+    steers = edge_floats(lim, seed=2, n=10) + [lim - max_step, max_step - lim,
+                                                math.nextafter(lim - max_step, 0.0)]
+    for steer in steers:
+        for cmd in commands:
+            assert (apply_steer_command(steer, cmd, dt, CFG).hex()
+                    == _builtin_apply_steer_command(steer, cmd, dt, CFG).hex()), (steer, cmd)
 
 
 @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=50))
