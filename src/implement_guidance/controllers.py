@@ -12,9 +12,8 @@ are flagged as such in reports.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, SingularityError, require_positive
@@ -65,8 +64,6 @@ class ControlCommand(NamedTuple):
     xi_desired: float = 0.0
     clamped: bool = False
     fault: bool = False
-    # the default is read-only, as it is shared by every command built without one
-    diagnostics: Mapping[str, float] = MappingProxyType({})
 
 
 def alpha_gamma(meas: Measurements, v: float) -> tuple[float, float]:
@@ -162,10 +159,18 @@ def steering_command(theta_tilde: float, theta_desired: float, curvature: float,
     e_theta = theta_tilde - theta_desired
     raw = math.atan(wheelbase * (-k_theta * e_theta + curvature)
                     * math.cos(theta_tilde) / denom)
-    clamped = abs(raw) > steer_limit
-    delta = raw if raw < steer_limit else steer_limit  # min(steer_limit, raw)
-    delta = delta if delta > -steer_limit else -steer_limit  # max(-steer_limit, delta)
-    return delta, clamped
+    return _clamp(raw, steer_limit)
+
+
+def _clamp(raw: float, limit: float) -> tuple[float, bool]:
+    """(max(-limit, min(limit, raw)), |raw| > limit); a NaN raw angle is a guard trip."""
+    if raw < limit:
+        delta = raw
+    elif raw == raw:
+        delta = limit
+    else:
+        raise DomainError("the raw steering angle is NaN")
+    return (delta if delta > -limit else -limit), abs(raw) > limit
 
 
 def _steer_from_gamma(gamma: float, curvature: float, theta_tilde: float,
@@ -192,10 +197,7 @@ def optimal_control_step(meas: Measurements, params: OptimalParams,
     theta_d = desired_heading(xi_d, alpha, gamma, imp)
     delta, clamped = steering_command(th, theta_d, meas.curvature_now, meas.frenet.y,
                                       params.k_theta, cfg.wheelbase, cfg.steer_limit)
-    e1 = e_I_prime(th, alpha, gamma, imp)
-    return _new_tuple(ControlCommand, (delta, theta_d, xi_d, clamped, False,
-                                       {"e_I": meas.e_I, "e_I_prime": e1, "e_I_second": e2,
-                                        "alpha": alpha, "gamma": gamma, "n_h": params.n_h}))
+    return _new_tuple(ControlCommand, (delta, theta_d, xi_d, clamped, False))
 
 
 def backstepping_control_step(meas: Measurements, params: BaselineParams,
@@ -210,8 +212,7 @@ def backstepping_control_step(meas: Measurements, params: BaselineParams,
     delta, clamped = steering_command(meas.frenet.theta_tilde, theta_d, meas.curvature_now,
                                       meas.frenet.y, params.k_theta, cfg.wheelbase,
                                       cfg.steer_limit)
-    return _new_tuple(ControlCommand, (delta, theta_d, 0.0, clamped, False,
-                                       {"e_I": meas.e_I, "alpha": alpha, "gamma": gamma}))
+    return _new_tuple(ControlCommand, (delta, theta_d, 0.0, clamped, False))
 
 
 def lateral_servoing_control_step(meas: Measurements, params: BaselineParams,
@@ -224,13 +225,8 @@ def lateral_servoing_control_step(meas: Measurements, params: BaselineParams,
     y_err = meas.e_I  # y - y_d with y_d = y - e_I
     raw = math.atan(cfg.wheelbase * (meas.curvature_now * ct / alpha
                                      - params.k_theta * th - params.k_y * y_err * ct))
-    lim = cfg.steer_limit
-    clamped = abs(raw) > lim
-    delta = raw if raw < lim else lim  # min(lim, raw)
-    delta = delta if delta > -lim else -lim  # max(-lim, delta)
-    return _new_tuple(ControlCommand, (delta, 0.0, 0.0, clamped, False,
-                                       {"e_I": meas.e_I, "alpha": alpha,
-                                        "y_desired": meas.frenet.y - meas.e_I}))
+    delta, clamped = _clamp(raw, cfg.steer_limit)
+    return _new_tuple(ControlCommand, (delta, 0.0, 0.0, clamped, False))
 
 
 class Controller:

@@ -65,6 +65,8 @@ class Scenario:
     initial_theta: float = 0.0
     seed: int = 0
     noise: NoiseSpec = NoiseSpec()
+    # the run's plant-step budget, computed once here
+    max_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.run_length > self.path.total_length:
@@ -84,6 +86,13 @@ class Scenario:
         if (self.control_period < self.dt or not math.isfinite(ratio)
                 or abs(ratio - round(ratio)) > 1e-9):
             raise ParameterError("control_period must be an integer multiple of dt")
+        try:
+            steps = 3 * self.run_length / (self.vehicle.speed * self.dt)
+        except ZeroDivisionError:  # speed * dt underflowed
+            steps = math.inf
+        if not math.isfinite(steps + ratio):
+            raise ParameterError("speed * dt is too small: the plant-step budget is not finite")
+        object.__setattr__(self, "max_steps", int(steps) + round(ratio))
 
     def make_controller(self) -> Controller:
         try:
@@ -160,52 +169,43 @@ def run_scenario(scn: Scenario) -> RunLog:
                       path.segment_index(scn.initial_s))
     log = RunLog()
     n_ctrl = round(scn.control_period / scn.dt)
-    max_steps = int(3 * scn.run_length / (scn.vehicle.speed * scn.dt)) + n_ctrl
     delta_cmd = 0.0
     theta_d = 0.0
     t = 0.0
-    for i in range(max_steps):
-        if i % n_ctrl == 0:
-            try:
+    try:
+        for i in range(scn.max_steps):
+            if i % n_ctrl == 0:
                 meas = measure(pose, proj, path, scn.vehicle, scn.implement,
                                controller.horizon)
-            except SingularityError as exc:
-                log.fault = str(exc)
-                _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
+                if noise.enabled:
+                    # 0.0 + std * z is normal(0.0, std) bit for bit, drawn y, theta, omega
+                    s, y, theta_tilde = meas.frenet
+                    noisy = _new_tuple(FrenetState, (s, y + (0.0 + noise.y_std * z()),
+                                                     theta_tilde + (0.0 + noise.theta_std * z())))
+                    meas = _new_tuple(Measurements, (
+                        noisy, meas.omega_bar + (0.0 + noise.omega_std * z()),
+                        implement_error_measured(noisy, scn.implement),
+                        meas.curvature_now, meas.curvature_at_horizon))
+                cmd = controller.step(meas)
+                delta_cmd = cmd.delta_desired
+                theta_d = cmd.theta_desired
+                if cmd.fault:
+                    log.fault = f"controller fail-safe: {controller.fault}"
+                    break
+            _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=False)
+            if proj.frenet.s >= scn.run_length:
                 break
-            if noise.enabled:
-                # 0.0 + std * z is normal(0.0, std) bit for bit, drawn y, theta, omega
-                s, y, theta_tilde = meas.frenet
-                noisy = _new_tuple(FrenetState, (s, y + (0.0 + noise.y_std * z()),
-                                                 theta_tilde + (0.0 + noise.theta_std * z())))
-                meas = _new_tuple(Measurements, (
-                    noisy, meas.omega_bar + (0.0 + noise.omega_std * z()),
-                    implement_error_measured(noisy, scn.implement),
-                    meas.curvature_now, meas.curvature_at_horizon))
-            cmd = controller.step(meas)
-            delta_cmd = cmd.delta_desired
-            theta_d = cmd.theta_desired
-            if cmd.fault:
-                log.fault = f"controller fail-safe: {controller.fault}"
-                _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
-                break
-        _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=False)
-        if proj.frenet.s >= scn.run_length:
-            break
-        try:
-            pose, proj = step(pose, proj, delta_cmd, scn.dt, path, scn.vehicle)
-        except SingularityError as exc:
-            log.fault = str(exc)
+            # a step that faults is recorded at its end time, with its start state
             t += scn.dt
-            _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
-            break
-        t += scn.dt
-    else:
-        # the budget ran out; the last step may still have reached the length
-        if not proj.frenet.s >= scn.run_length:
-            log.fault = (f"plant-step budget of {max_steps} used up at s = {proj.frenet.s} m, "
-                         f"short of run_length {scn.run_length} m")
-            _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
+            pose, proj = step(pose, proj, delta_cmd, scn.dt, path, scn.vehicle)
+        # without a fault the loop ends at the length, or with the budget used up
+        if log.fault is None and not proj.frenet.s >= scn.run_length:
+            log.fault = (f"plant-step budget of {scn.max_steps} used up at "
+                         f"s = {proj.frenet.s} m, short of run_length {scn.run_length} m")
+    except SingularityError as exc:
+        log.fault = str(exc)
+    if log.fault is not None:
+        _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
     return log
 
 

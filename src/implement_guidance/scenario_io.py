@@ -9,32 +9,43 @@ and blocks are rejected; missing optional blocks take documented defaults.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from .controllers import CONTROLLERS, BaselineParams, OptimalParams
+from .controllers import CONTROLLERS, OptimalParams
 from .errors import GuidanceError, ParameterError, ScenarioError
 from .harness import NoiseSpec, Scenario, initial_lateral_for_error
 from .paths import PRESET_DESCRIPTORS, build_path
 from .presets import REAR_IMPLEMENT, TABLE1, TABLE2
-from .vehicle import ImplementConfig, VehicleConfig
+from .vehicle import VehicleConfig
 
 FORMAT_VERSION = 1
 
 # Cost limits on a scenario that parses. The controller sums over n_h = s_h / s_t
-# horizon samples, and a run takes at most 3 * length / (speed * dt) +
-# control_period / dt plant steps. The shipped scenarios, presets and benchmark
-# workloads need at most n_h = 70 and under 4e5 plant steps.
+# horizon samples, and a run takes at most Scenario.max_steps plant steps. The
+# shipped scenarios, presets and benchmark workloads need at most n_h = 70 and
+# under 4e5 plant steps.
 MAX_N_H = 10_000
 MAX_PLANT_STEPS = 10_000_000
 
+# file key -> config field, per block; a key the file leaves out keeps the
+# field's default
+_VEHICLE_KEYS = {"wheelbase_m": "wheelbase", "steer_limit_rad": "steer_limit",
+                 "steer_rate_limit_rad_s": "steer_rate_limit", "speed_m_s": "speed"}
+_IMPLEMENT_KEYS = {"I_s_m": "I_s", "I_y_m": "I_y"}
+_OPTIMAL_KEYS = {"lambda_per_m": "lam", "k_theta_per_m": "k_theta", "s_h_m": "s_h",
+                 "s_t_m": "s_t"}
+_BASELINE_KEYS = {"k_y_per_m": "k_y", "k_theta_per_m": "k_theta"}
+_NOISE_KEYS = {"y_std_m": "y_std", "theta_std_rad": "theta_std",
+               "omega_std_rad_s": "omega_std"}
+
 _BLOCK_KEYS = {
     "path": {"preset", "start_x_m", "start_y_m", "start_heading_rad", "segment"},
-    "vehicle": {"wheelbase_m", "steer_limit_rad", "steer_rate_limit_rad_s", "speed_m_s"},
-    "implement": {"I_s_m", "I_y_m"},
-    "controller": {"method", "preset", "lambda_per_m", "k_theta_per_m", "k_y_per_m",
-                   "s_h_m", "s_t_m"},
+    "vehicle": set(_VEHICLE_KEYS),
+    "implement": set(_IMPLEMENT_KEYS),
+    "controller": {"method", "preset", *_OPTIMAL_KEYS, *_BASELINE_KEYS},
     "run": {"length_m", "dt_s", "control_period_s", "initial_s_m", "initial_e_I_m",
             "initial_y_m", "initial_theta_rad", "seed"},
-    "noise": {"enabled", "y_std_m", "theta_std_rad", "omega_std_rad_s"},
+    "noise": {"enabled", *_NOISE_KEYS},
 }
 
 _SEGMENT_KEYS = {"kind", "length_m", "curvature_per_m"}
@@ -128,6 +139,15 @@ def _non_negative(d: dict, key: str, default: float) -> float:
     return x + 0.0  # -0.0 becomes 0.0, so the scenario echo shows 0.0
 
 
+def _fields(d: dict, keys: dict, read=_num) -> dict:
+    """The config fields that d's keys set, read in the table's order."""
+    return {name: read(d, key, None) for key, name in keys.items() if key in d}
+
+
+def _echo(config, keys: dict) -> dict:
+    return {key: getattr(config, name) for key, name in keys.items()}
+
+
 def is_seed(text: str) -> bool:
     """Whether text is a valid seed: a non-negative integer in ASCII digits,
     with no sign, point or spaces."""
@@ -192,32 +212,24 @@ def controller_preset(name: str):
 
 def _build_controller(d: dict):
     """Returns (method, params, preset_implement_or_None)."""
-    preset_imp = None
+    preset_imp = params_p = None
     method = d.get("method")
-    defaults = {}
     if "preset" in d:
         method_p, preset_imp, params_p = controller_preset(d["preset"])
         method = method or method_p
-        if isinstance(params_p, OptimalParams):
-            defaults = {"lambda_per_m": params_p.lam, "k_theta_per_m": params_p.k_theta,
-                        "s_h_m": params_p.s_h, "s_t_m": params_p.s_t}
-        else:
-            defaults = {"k_y_per_m": params_p.k_y, "k_theta_per_m": params_p.k_theta}
     if method is None:
         method = "optimal"
     if method not in CONTROLLERS:
         raise ScenarioError(f"key 'method': unknown method {method!r}")
+    if method == "optimal":
+        keys, params = _OPTIMAL_KEYS, TABLE1[("optimal", "rear")][1]
+    else:  # both baselines default to the rear backstepping gains
+        keys, params = _BASELINE_KEYS, TABLE1[("backstepping", "rear")][1]
+    # a preset of the other kind of params lends the fields the two share
+    lent = {name: getattr(params_p, name) for name in keys.values()
+            if hasattr(params_p, name)}
     try:
-        if method == "optimal":
-            params = OptimalParams(
-                lam=_num(d, "lambda_per_m", defaults.get("lambda_per_m", 0.1)),
-                k_theta=_num(d, "k_theta_per_m", defaults.get("k_theta_per_m", 0.6)),
-                s_h=_num(d, "s_h_m", defaults.get("s_h_m", 2.0)),
-                s_t=_num(d, "s_t_m", defaults.get("s_t_m", 0.15)))
-        else:
-            params = BaselineParams(
-                k_y=_num(d, "k_y_per_m", defaults.get("k_y_per_m", 0.2)),
-                k_theta=_num(d, "k_theta_per_m", defaults.get("k_theta_per_m", 0.6)))
+        params = replace(params, **{**lent, **_fields(d, keys)})
     except ParameterError as exc:
         raise ScenarioError(f"[controller]: {exc}") from exc
     if isinstance(params, OptimalParams) and params.n_h > MAX_N_H:
@@ -234,19 +246,14 @@ def parse_scenario(text: str, seed_override: int | None = None,
                        {"preset": "exp1"})
     v = _scalars(blocks.get("vehicle", []))
     try:
-        vehicle = VehicleConfig(
-            wheelbase=_num(v, "wheelbase_m", 1.2),
-            steer_limit=_num(v, "steer_limit_rad", 0.55),
-            steer_rate_limit=_num(v, "steer_rate_limit_rad_s", 0.8),
-            speed=_num(v, "speed_m_s", 1.0))
+        vehicle = replace(VehicleConfig(), **_fields(v, _VEHICLE_KEYS))
     except ParameterError as exc:
         raise ScenarioError(f"[vehicle]: {exc}") from exc
     c = _scalars(blocks.get("controller", []))
     method, params, preset_imp = _build_controller(c)
     i = _scalars(blocks.get("implement", []))
     if i:
-        implement = ImplementConfig(I_s=_num(i, "I_s_m", REAR_IMPLEMENT.I_s),
-                                    I_y=_num(i, "I_y_m", REAR_IMPLEMENT.I_y))
+        implement = replace(REAR_IMPLEMENT, **_fields(i, _IMPLEMENT_KEYS))
     else:
         implement = preset_imp or REAR_IMPLEMENT
     if abs(implement.I_y) >= path.min_arc_radius():
@@ -260,11 +267,8 @@ def parse_scenario(text: str, seed_override: int | None = None,
     enabled = n.get("enabled", "false")
     if enabled not in ("true", "false"):
         raise ScenarioError("key 'enabled': expected true or false")
-    noise = NoiseSpec(
-        enabled=(enabled == "true") if noise_override is None else noise_override,
-        y_std=_non_negative(n, "y_std_m", 0.01),
-        theta_std=_non_negative(n, "theta_std_rad", 0.005),
-        omega_std=_non_negative(n, "omega_std_rad_s", 0.01))
+    noise = replace(NoiseSpec(), **_fields(n, _NOISE_KEYS, _non_negative),
+                    enabled=(enabled == "true") if noise_override is None else noise_override)
     seed = _seed(r) if seed_override is None else seed_override
     initial_s = _num(r, "initial_s_m", 0.0)
     if not 0.0 <= initial_s <= path.total_length:
@@ -290,27 +294,21 @@ def parse_scenario(text: str, seed_override: int | None = None,
             seed=seed, noise=noise)
     except ParameterError as exc:
         raise ScenarioError(f"[run]: {exc}") from exc
-    try:  # the bound of run_scenario's loop
-        steps = 3 * scn.run_length / (scn.vehicle.speed * scn.dt) + scn.control_period / scn.dt
-    except ZeroDivisionError:  # speed * dt underflowed
-        steps = math.inf
-    if not steps <= MAX_PLANT_STEPS:
+    if scn.max_steps > MAX_PLANT_STEPS:  # the bound of run_scenario's loop
         at = v.get("speed_m_s") or r.get("dt_s") or r.get("length_m") or r.get("control_period_s")
         where = f"line {at.line}: " if at else "[run]: "
-        raise ScenarioError(f"{where}the run may take {steps:.3g} plant steps "
-                            f"(3 * length / (speed * dt) + control_period / dt), "
+        raise ScenarioError(f"{where}the run may take {scn.max_steps:.3g} plant steps "
+                            f"(its budget, Scenario.max_steps), "
                             f"above the limit {MAX_PLANT_STEPS}")
     return scn
 
 
 def resolved_config(scn: Scenario) -> dict:
     """Fully resolved configuration, defaults included, for `validate` echo."""
-    params: dict[str, float] = {"k_theta_per_m": scn.params.k_theta}
     if isinstance(scn.params, OptimalParams):
-        params.update(lambda_per_m=scn.params.lam, s_h_m=scn.params.s_h,
-                      s_t_m=scn.params.s_t, n_h=scn.params.n_h)
+        params = {**_echo(scn.params, _OPTIMAL_KEYS), "n_h": scn.params.n_h}
     else:
-        params.update(k_y_per_m=scn.params.k_y)
+        params = _echo(scn.params, _BASELINE_KEYS)
     return {
         "format_version": FORMAT_VERSION,
         "path": {
@@ -321,17 +319,12 @@ def resolved_config(scn: Scenario) -> dict:
                 for s, lbl in zip(scn.path.segments, scn.path.labels)
             ],
         },
-        "vehicle": {"wheelbase_m": scn.vehicle.wheelbase,
-                    "steer_limit_rad": scn.vehicle.steer_limit,
-                    "steer_rate_limit_rad_s": scn.vehicle.steer_rate_limit,
-                    "speed_m_s": scn.vehicle.speed},
-        "implement": {"I_s_m": scn.implement.I_s, "I_y_m": scn.implement.I_y},
+        "vehicle": _echo(scn.vehicle, _VEHICLE_KEYS),
+        "implement": _echo(scn.implement, _IMPLEMENT_KEYS),
         "controller": {"method": scn.method, **params},
         "run": {"length_m": scn.run_length, "dt_s": scn.dt,
                 "control_period_s": scn.control_period,
                 "initial_s_m": scn.initial_s, "initial_y_m": scn.initial_y,
                 "initial_theta_rad": scn.initial_theta, "seed": scn.seed},
-        "noise": {"enabled": scn.noise.enabled, "y_std_m": scn.noise.y_std,
-                  "theta_std_rad": scn.noise.theta_std,
-                  "omega_std_rad_s": scn.noise.omega_std},
+        "noise": {"enabled": scn.noise.enabled, **_echo(scn.noise, _NOISE_KEYS)},
     }

@@ -1,4 +1,4 @@
-"""Dependency-free SVG plots for run logs, comparisons, and horizon sweeps.
+"""Dependency-free SVG plots for method comparisons and horizon sweeps.
 
 Figures are simple polylines/rects with fixed margins, intended for visual
 inspection; all quantitative checks live on the CSV/JSON outputs. Every file
@@ -135,25 +135,6 @@ def render_svg(width: int, height: int, panels: list[Panel], command_line: str,
         f'<rect width="{width}" height="{height}" fill="#fcfcfc"/>\n'
         + "\n".join(body) + "\n</svg>\n"
     )
-
-
-def error_vs_s_figure(runs: dict[str, tuple], junctions: tuple[float, ...],
-                      command_line: str, title: str = "implement lateral error") -> str:
-    """Single-panel |e_I|(s) figure; runs maps label -> (s array, e array)."""
-    smax = max(max(s) for s, _ in runs.values())
-    elo = min(min(e) for _, e in runs.values())
-    ehi = max(max(e) for _, e in runs.values())
-    pad = 0.05 * (ehi - elo or 1.0)
-    panel = Panel(70, 40, 540, 260, (0, smax), (elo - pad, ehi + pad),
-                  xlabel="curvilinear abscissa s [m]", ylabel="e_I [m]", title=title)
-    legend = []
-    for i, (label, (s, e)) in enumerate(runs.items()):
-        color = PALETTE[i % len(PALETTE)]
-        panel.polyline(s, e, color)
-        legend.append((label, color))
-    for sj in junctions:
-        panel.vline(sj)
-    return render_svg(660, 360, [panel], command_line, legend)
 
 
 def comparison_figure(per_placement: dict[str, dict], junctions: tuple[float, ...],

@@ -1,12 +1,15 @@
 import contextlib
 import io
+import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from implement_guidance import harness
 from implement_guidance.cli import main
 from implement_guidance.errors import GuidanceError
 from implement_guidance.harness import read_csv
@@ -329,6 +332,29 @@ def test_controller_domain_fault_exits_3_with_its_log(tmp_path, capsys):
     with open(out / "run.csv") as fh:
         records = read_csv(fh).records
     assert records and records[-1].fault
+
+
+@pytest.mark.parametrize("method", ["optimal", "backstepping", "lateral_servoing"])
+def test_nan_steering_angle_is_a_fault_that_exits_3(method, monkeypatch, tmp_path, capsys):
+    # a NaN curvature at the third control step makes each method's raw
+    # steering angle NaN; the controller's fail-safe holds its last command
+    measure, calls = harness.measure, itertools.count(1)
+
+    def nan_measure(*args):
+        meas = measure(*args)
+        return meas._replace(curvature_now=math.nan) if next(calls) == 3 else meas
+    monkeypatch.setattr(harness, "measure", nan_measure)
+    p = tmp_path / "nan.scn"
+    p.write_text(MINI.replace("table1_rear_optimal", f"table1_rear_{method}"))
+    out = tmp_path / "o"
+    assert main(["--out-dir", str(out), "run", str(p)]) == 3
+    assert "simulation fault: controller fail-safe: the raw steering angle is NaN" in (
+        capsys.readouterr().err)
+    with open(out / "run.csv") as fh:
+        records = read_csv(fh).records
+    assert [r.fault for r in records] == [False] * 20 + [True]
+    assert all(math.isfinite(r.delta_actual) and math.isfinite(r.delta_cmd)
+               and math.isfinite(r.theta_d) for r in records)
 
 
 @pytest.mark.parametrize("old, new, s_final", [

@@ -306,6 +306,10 @@ def test_steering_command_clamp_equals_its_builtin_form_bit_for_bit():
     for theta, theta_d, c, y in states:
         raw = math.atan(1.2 * (-0.6 * (theta - theta_d) + c) * math.cos(theta) / (1.0 - c * y))
         for limit in edge_floats(abs(raw), seed=6, n=5) + [0.55]:
+            if math.isnan(raw):  # a guard trip, not a clamp
+                with pytest.raises(DomainError, match="NaN"):
+                    steering_command(theta, theta_d, c, y, 0.6, 1.2, limit)
+                continue
             delta, clamped = steering_command(theta, theta_d, c, y, 0.6, 1.2, limit)
             assert delta.hex() == _builtin_clamp(raw, limit).hex(), (theta, limit)
             assert clamped == (abs(raw) > limit)
@@ -331,6 +335,10 @@ def test_lateral_servoing_clamp_equals_its_builtin_form_bit_for_bit():
         raw = math.atan(1.2 * (meas.curvature_now * ct / alpha - 0.8 * th - 0.1 * meas.e_I * ct))
         for limit in edge_floats(abs(raw), seed=8, n=5) + [0.55]:
             Cfg.steer_limit = limit
+            if math.isnan(raw):  # a guard trip, not a clamp
+                with pytest.raises(DomainError, match="NaN"):
+                    lateral_servoing_control_step(meas, params, REAR, Cfg)
+                continue
             cmd = lateral_servoing_control_step(meas, params, REAR, Cfg)
             assert cmd.delta_desired.hex() == _builtin_clamp(raw, limit).hex(), (th, limit)
             assert cmd.clamped == (abs(raw) > limit)
@@ -376,7 +384,8 @@ def test_optimal_independent_script_oracle():
     assert abs(cmd.xi_desired - xi) < 1e-12
     assert abs(cmd.theta_desired - theta_d) < 1e-12
     assert abs(cmd.delta_desired - delta) < 1e-12
-    assert abs(cmd.diagnostics["e_I_second"] - e2) < 1e-12
+    # e'' as the public formula gives it from the same measurements
+    assert abs(e_I_second(th, alpha, steer_now, c_hor, L) - e2) < 1e-12
 
 
 def test_optimal_arc_steady_state():
@@ -423,7 +432,7 @@ def test_optimal_controller_computes_sigma_once_and_steps_exactly(monkeypatch):
                         c_hor=rng.uniform(-0.2, 0.2), imp=imp)
             cmd = ctrl.step(m)
             assert not cmd.fault
-            # the same command, diagnostics included, as with sigma computed fresh
+            # the same command as with sigma computed fresh
             assert cmd == optimal_control_step(m, params, imp, CFG)
     # once per controller; the 100 fresh calls above add one each
     assert len(calls) == 2 + 100
@@ -465,7 +474,8 @@ def test_lateral_servoing_trivials_and_convergence():
     assert cmd.delta_desired == 0.0
     imp = REAR
     cmd = lateral_servoing_control_step(meas_of(imp=imp), BaselineParams(0.1, 0.8), imp, CFG)
-    assert abs(cmd.diagnostics["y_desired"] - 0.5) < 1e-12
+    # at y = 0 with e_I = -0.5 the robot servos toward y_d = y - e_I = 0.5
+    assert abs(cmd.delta_desired - math.atan(1.2 * 0.1 * 0.5)) < 1e-12
     path = build_path([{"kind": "line", "length_m": 120.0}])
     scn = Scenario(path=path, vehicle=CFG, implement=imp, method="lateral_servoing",
                    params=BaselineParams(0.1, 0.8), run_length=115.0,

@@ -1,6 +1,7 @@
 import bisect
 import builtins
 import io
+import itertools
 import math
 import sys
 from collections import Counter
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from implement_guidance import harness
+from implement_guidance import controllers, harness
 from implement_guidance.controllers import Controller
-from implement_guidance.errors import ParameterError
+from implement_guidance.errors import DomainError, ParameterError, SingularityError
 from implement_guidance.harness import (
     CSV_HEADER,
     LogRecord,
@@ -351,6 +352,66 @@ def test_fault_truncates_log_without_raising():
     assert log.fault is not None
     for r in log.records:
         assert math.isfinite(r.delta_cmd)
+
+
+def _raise_on_call(k, fn, exc):
+    """fn, except that its k-th call (from 1) raises exc instead."""
+    calls = itertools.count(1)
+
+    def wrapper(*args, **kwargs):
+        if next(calls) == k:
+            raise exc
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _measure_fault(mp):
+    mp.setattr(harness, "measure",
+               _raise_on_call(3, harness.measure, SingularityError("measure guard")))
+    return "measure guard", 21  # at the third control step, plant step 20
+
+
+def _controller_fault(mp):
+    mp.setattr(controllers, "optimal_control_step", _raise_on_call(
+        3, controllers.optimal_control_step, DomainError("controller guard")))
+    return "controller fail-safe: controller guard", 21
+
+
+def _step_fault(mp):
+    mp.setattr(harness, "step",
+               _raise_on_call(25, harness.step, SingularityError("step guard")))
+    return "step guard", 26  # recorded at its end time, with its start state
+
+
+def _budget_fault(mp):
+    mp.setattr(harness, "step", lambda pose, proj, *args: (pose, proj))
+    # int(3 * 2 / (1 * 0.01)) + 10 plant steps that stay at s = 0
+    return "plant-step budget of 610 used up at s = 0.0 m, short of run_length 2.0 m", 611
+
+
+@pytest.mark.parametrize("fault", [_measure_fault, _controller_fault, _step_fault,
+                                   _budget_fault], ids=["measure", "controller", "step",
+                                                        "budget"])
+def test_each_fault_exit_records_one_faulted_last_record(monkeypatch, fault):
+    scn = straight_scenario(run_length=2.0)
+    message, n = fault(monkeypatch)
+    log = run_scenario(scn)
+    assert log.fault == message
+    assert [r.fault for r in log.records] == [False] * (n - 1) + [True]
+    t = 0.0
+    for _ in range(n - 1):
+        t += scn.dt
+    assert log.records[-1].t == t
+    if fault is _step_fault:
+        assert log.records[-1][1:4] == log.records[-2][1:4]
+
+
+@pytest.mark.parametrize("speed, dt", [(1e-200, 1e-200), (1e-300, 1e-10)])
+def test_scenario_rejects_a_budget_that_is_not_finite(speed, dt):
+    # 3 * run_length / (speed * dt): speed * dt underflows to 0 (a division
+    # by zero), or to a subnormal that makes the quotient overflow to inf
+    with pytest.raises(ParameterError, match="plant-step budget"):
+        straight_scenario(vehicle=VehicleConfig(speed=speed), dt=dt, control_period=dt)
 
 
 def test_run_stops_at_run_length():

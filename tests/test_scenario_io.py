@@ -172,6 +172,20 @@ def test_preset_field_override():
     assert scn.params.k_theta == 0.6  # rest of the preset retained
 
 
+@pytest.mark.parametrize("controller, params", [
+    # both baselines default to the rear backstepping gains
+    ("method lateral_servoing\n", BaselineParams(k_y=0.2, k_theta=0.6)),
+    ("method backstepping\nk_y_per_m 0.3\n", BaselineParams(k_y=0.3, k_theta=0.6)),
+    # a preset of the other method lends the fields the two share
+    ("method backstepping\npreset table1_front_optimal\n", BaselineParams(k_y=0.2, k_theta=0.3)),
+    ("method optimal\npreset table1_front_lateral_servoing\n",
+     OptimalParams(lam=0.1, k_theta=0.5, s_h=2.0, s_t=0.15)),
+])
+def test_controller_defaults_and_lent_preset_fields(controller, params):
+    scn = parse_scenario(f"format_version 1\n[controller]\n{controller}")
+    assert scn.params == params
+
+
 def test_initial_y_takes_precedence_over_initial_e():
     text = ("format_version 1\n[path]\npreset exp1\n"
             "[run]\ninitial_y_m 0.3\ninitial_e_I_m 0.5\n")

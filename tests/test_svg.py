@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from implement_guidance.svgplot import (
     _nice_ticks,
     comparison_figure,
-    error_vs_s_figure,
     escape,
     sweep_figure,
 )
@@ -37,23 +36,24 @@ def _parse(svg: str):
     return xml.dom.minidom.parseString(svg)
 
 
-def test_error_figure_is_valid_xml_with_escaped_command():
-    s = np.linspace(0.0, 30.0, 50)
-    runs = {"optimal": (s, 0.5 * np.exp(-0.1 * s))}
-    svg = error_vs_s_figure(runs, (10.0, 20.0), "implement-guidance run --seed 1")
-    doc = _parse(svg)
-    assert doc.documentElement.tagName == "svg"
-    # double hyphens are illegal inside XML comments and must be escaped
-    svg2 = error_vs_s_figure(runs, (), "implement-guidance sweep --horizons 1,2")
-    _parse(svg2)
-    assert "--horizons" not in svg2
-    assert "- -horizons" in svg2
-
-
 def _fake_summary():
     return {"median_abs_e_m": 0.05, "q25_m": 0.02, "q75_m": 0.08,
             "max_abs_e_m": 0.3, "per_segment_median_m": {}, "junction_overshoot_m": {},
             "fault_count": 0, "n_samples": 100}
+
+
+def test_error_figure_is_valid_xml_with_escaped_command():
+    s = list(np.linspace(0.0, 30.0, 50))
+    runs = {"optimal": {"s": s, "e": list(0.5 * np.exp(-0.1 * np.array(s))),
+                        "summary": _fake_summary()}}
+    svg = comparison_figure({"rear": runs}, (10.0, 20.0), "implement-guidance run --seed 1")
+    doc = _parse(svg)
+    assert doc.documentElement.tagName == "svg"
+    # double hyphens are illegal inside XML comments and must be escaped
+    svg2 = comparison_figure({"rear": runs}, (), "implement-guidance sweep --horizons 1,2")
+    _parse(svg2)
+    assert "--horizons" not in svg2
+    assert "- -horizons" in svg2
 
 
 def test_comparison_figure_has_all_method_labels():
@@ -78,6 +78,9 @@ def test_sweep_figure():
         d = _fake_summary()
         d.update(s_h_m=sh, median_abs_e_m=med, q25_m=med / 2, q75_m=med * 1.5)
         points.append(d)
-    svg = sweep_figure(points, "implement-guidance sweep")
-    _parse(svg)
+    svg = sweep_figure(points, "implement-guidance sweep --horizons 0.5,1,2,3.5")
+    assert _parse(svg).documentElement.tagName == "svg"
     assert "prediction horizon" in svg
+    # double hyphens are illegal inside XML comments and must be escaped
+    assert "--horizons" not in svg
+    assert "- -horizons" in svg
