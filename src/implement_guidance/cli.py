@@ -55,17 +55,23 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def cmd_run(args) -> int:
+def _read_scenario(file: str, **overrides) -> Scenario | None:
+    """The scenario in file, or None once the reason it is not valid is printed."""
     try:
-        with open(args.scenario) as fh:
+        with open(file) as fh:
             text = fh.read()
-        scn = parse_scenario(text, seed_override=args.seed,
-                             noise_override=_noise_flag(args))
+        return parse_scenario(text, **overrides)
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_run(args) -> int:
+    scn = _read_scenario(args.scenario, seed_override=args.seed,
+                         noise_override=_noise_flag(args))
+    if scn is None:
         return EXIT_VALIDATION
     out = _out_dir(args)  # made only once the scenario parsed
     log, summary = run_and_summarize(scn)
@@ -153,15 +159,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.scenario) as fh:
-            text = fh.read()
-        scn = parse_scenario(text)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    scn = _read_scenario(args.scenario)
+    if scn is None:
         return EXIT_VALIDATION
     json.dump(resolved_config(scn), sys.stdout, indent=2, sort_keys=True)
     print()

@@ -33,12 +33,11 @@ class OptimalParams:
     def __post_init__(self):
         require_positive(self, ("lam", "k_theta", "s_h", "s_t"))
         if self.s_t > self.s_h:
-            raise ParameterError("s_t must not exceed s_h")
+            raise ParameterError("s_t must not exceed s_h", "s_t", "s_h")
         if not math.isfinite(self.s_h / self.s_t):
-            raise ParameterError("s_h / s_t must be finite")
+            raise ParameterError("s_h / s_t must be finite", "s_h", "s_t")
+        # s_t <= s_h makes n_h at least 1
         object.__setattr__(self, "n_h", round(self.s_h / self.s_t))
-        if self.n_h < 1:
-            raise ParameterError("horizon must contain at least one sample")
 
 
 @dataclass(frozen=True)

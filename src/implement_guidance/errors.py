@@ -25,7 +25,12 @@ class DomainError(GuidanceError):
 
 
 class ParameterError(GuidanceError):
-    """Controller or scenario parameters violate their invariants."""
+    """Controller or scenario parameters violate their invariants. `fields`
+    names the config fields the error blames, in order."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
 
 
 def require_positive(obj, names: tuple[str, ...]) -> None:
@@ -34,7 +39,7 @@ def require_positive(obj, names: tuple[str, ...]) -> None:
     for name in names:
         value = getattr(obj, name)
         if not (math.isfinite(value) and value > 0):
-            raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+            raise ParameterError(f"{name} must be finite and > 0, got {value!r}", name)
 
 
 class ScenarioError(GuidanceError):

@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .controllers import CONTROLLERS, BaselineParams, Controller, OptimalParams
-from .errors import ParameterError, SingularityError
+from .errors import ParameterError, SingularityError, require_positive
 from .paths import FrenetState, Projection, ReferencePath, _new_tuple
 from .presets import TABLE1, TABLE2, REAR_IMPLEMENT
 from .vehicle import (
@@ -47,7 +47,8 @@ class NoiseSpec:
         for name in ("y_std", "theta_std", "omega_std"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
-                raise ParameterError(f"noise {name} must be finite and >= 0, got {value}")
+                raise ParameterError(f"noise {name} must be finite and >= 0, got {value}", name)
+            object.__setattr__(self, name, value + 0.0)  # -0.0 becomes 0.0, as the echo shows
 
 
 @dataclass(frozen=True)
@@ -69,29 +70,36 @@ class Scenario:
     max_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.run_length > self.path.total_length:
-            raise ParameterError("run_length exceeds path total_length")
-        # NaN and +inf fail here, and run_length <= total_length bounds s above
+        radius = self.path.min_arc_radius()
+        if not abs(self.implement.I_y) < radius:
+            raise ParameterError(f"|I_y| must stay below the minimum arc radius {radius!r}, "
+                                 f"got {self.implement.I_y!r}", "I_y")
+        total = self.path.total_length
+        # NaN and +-inf fail here
+        if not 0.0 <= self.initial_s <= total:
+            raise ParameterError(f"initial_s must lie in [0, {total!r}], "
+                                 f"got {self.initial_s!r}", "initial_s")
+        if self.run_length > total:
+            raise ParameterError("run_length exceeds path total_length", "run_length")
         if not self.initial_s < self.run_length:
-            raise ParameterError("initial_s must be below run_length")
-        if not self.initial_s >= 0.0:
-            raise ParameterError(f"initial_s must lie in [0, {self.path.total_length!r}], "
-                                 f"got {self.initial_s!r}")
+            raise ParameterError(f"initial_s must be below run_length {self.run_length!r}, "
+                                 f"got {self.initial_s!r}", "initial_s", "run_length")
         for name in ("initial_y", "initial_theta"):
             if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.dt > 0:
-            raise ParameterError("dt must be > 0")
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}", name)
+        require_positive(self, ("dt", "control_period"))
         ratio = self.control_period / self.dt
         if (self.control_period < self.dt or not math.isfinite(ratio)
                 or abs(ratio - round(ratio)) > 1e-9):
-            raise ParameterError("control_period must be an integer multiple of dt")
+            raise ParameterError("control_period must be an integer multiple of dt",
+                                 "control_period", "dt")
         try:
             steps = 3 * self.run_length / (self.vehicle.speed * self.dt)
         except ZeroDivisionError:  # speed * dt underflowed
             steps = math.inf
         if not math.isfinite(steps + ratio):
-            raise ParameterError("speed * dt is too small: the plant-step budget is not finite")
+            raise ParameterError("speed * dt is too small: the plant-step budget is not finite",
+                                 "speed", "dt")
         object.__setattr__(self, "max_steps", int(steps) + round(ratio))
 
     def make_controller(self) -> Controller:
@@ -198,10 +206,12 @@ def run_scenario(scn: Scenario) -> RunLog:
             # a step that faults is recorded at its end time, with its start state
             t += scn.dt
             pose, proj = step(pose, proj, delta_cmd, scn.dt, path, scn.vehicle)
-        # without a fault the loop ends at the length, or with the budget used up
-        if log.fault is None and not proj.frenet.s >= scn.run_length:
-            log.fault = (f"plant-step budget of {scn.max_steps} used up at "
-                         f"s = {proj.frenet.s} m, short of run_length {scn.run_length} m")
+        else:  # the budget is used up: its last step may still reach the length
+            if proj.frenet.s >= scn.run_length:
+                _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=False)
+            else:
+                log.fault = (f"plant-step budget of {scn.max_steps} used up at "
+                             f"s = {proj.frenet.s} m, short of run_length {scn.run_length} m")
     except SingularityError as exc:
         log.fault = str(exc)
     if log.fault is not None:

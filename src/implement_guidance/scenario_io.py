@@ -1,4 +1,5 @@
-"""Scenario file parsing and validation.
+"""Scenario file parsing: each block's keys map to the fields of one
+config class, which checks the values.
 
 The format is a flat, diff-friendly, line-oriented key/value format with
 `[block]` headers and `#` comments. Numeric keys carry their unit as a
@@ -37,14 +38,21 @@ _OPTIMAL_KEYS = {"lambda_per_m": "lam", "k_theta_per_m": "k_theta", "s_h_m": "s_
 _BASELINE_KEYS = {"k_y_per_m": "k_y", "k_theta_per_m": "k_theta"}
 _NOISE_KEYS = {"y_std_m": "y_std", "theta_std_rad": "theta_std",
                "omega_std_rad_s": "omega_std"}
+_RUN_KEYS = {"length_m": "run_length", "dt_s": "dt", "control_period_s": "control_period",
+             "initial_s_m": "initial_s", "initial_y_m": "initial_y",
+             "initial_theta_rad": "initial_theta"}
+# config field -> file key; each field name has one key (k_theta the same in
+# both controller tables)
+_FIELD_KEYS = {name: key for keys in (_VEHICLE_KEYS, _IMPLEMENT_KEYS, _OPTIMAL_KEYS,
+                                      _BASELINE_KEYS, _NOISE_KEYS, _RUN_KEYS)
+               for key, name in keys.items()}
 
 _BLOCK_KEYS = {
     "path": {"preset", "start_x_m", "start_y_m", "start_heading_rad", "segment"},
     "vehicle": set(_VEHICLE_KEYS),
     "implement": set(_IMPLEMENT_KEYS),
     "controller": {"method", "preset", *_OPTIMAL_KEYS, *_BASELINE_KEYS},
-    "run": {"length_m", "dt_s", "control_period_s", "initial_s_m", "initial_e_I_m",
-            "initial_y_m", "initial_theta_rad", "seed"},
+    "run": {*_RUN_KEYS, "initial_e_I_m", "seed"},
     "noise": {"enabled", *_NOISE_KEYS},
 }
 
@@ -125,27 +133,23 @@ def _num(d: dict, key: str, default: float) -> float:
     return _float(d[key], f"key {key!r}", d[key].line)
 
 
-def _positive(d: dict, key: str, default: float) -> float:
-    x = _num(d, key, default)
-    if not x > 0:
-        raise ScenarioError(f"line {d[key].line}: key {key!r}: must be > 0, got {d[key]!r}")
-    return x
-
-
-def _non_negative(d: dict, key: str, default: float) -> float:
-    x = _num(d, key, default)
-    if x < 0:
-        raise ScenarioError(f"line {d[key].line}: key {key!r}: must be >= 0, got {d[key]!r}")
-    return x + 0.0  # -0.0 becomes 0.0, so the scenario echo shows 0.0
-
-
-def _fields(d: dict, keys: dict, read=_num) -> dict:
+def _fields(d: dict, keys: dict) -> dict:
     """The config fields that d's keys set, read in the table's order."""
-    return {name: read(d, key, None) for key, name in keys.items() if key in d}
+    return {name: _num(d, key, None) for key, name in keys.items() if key in d}
 
 
 def _echo(config, keys: dict) -> dict:
     return {key: getattr(config, name) for key, name in keys.items()}
+
+
+def _at_line(exc: ParameterError, given: dict) -> ScenarioError:
+    """exc as "line N: key K: ...", at the first field it blames whose key the
+    file sets (given: key -> value, over all blocks)."""
+    for name in exc.fields:
+        key = _FIELD_KEYS.get(name)
+        if key in given:
+            return ScenarioError(f"line {given[key].line}: key {key!r}: {exc}")
+    return ScenarioError(str(exc))
 
 
 def is_seed(text: str) -> bool:
@@ -228,14 +232,10 @@ def _build_controller(d: dict):
     # a preset of the other kind of params lends the fields the two share
     lent = {name: getattr(params_p, name) for name in keys.values()
             if hasattr(params_p, name)}
-    try:
-        params = replace(params, **{**lent, **_fields(d, keys)})
-    except ParameterError as exc:
-        raise ScenarioError(f"[controller]: {exc}") from exc
+    params = replace(params, **{**lent, **_fields(d, keys)})
     if isinstance(params, OptimalParams) and params.n_h > MAX_N_H:
-        key = "s_h_m" if "s_h_m" in d else "s_t_m"  # a preset alone stays inside
-        raise ScenarioError(f"line {d[key].line}: key {key!r}: the horizon has "
-                            f"n_h = {params.n_h} samples, above the limit {MAX_N_H}")
+        raise ParameterError(f"the horizon has n_h = {params.n_h} samples, "
+                             f"above the limit {MAX_N_H}", "s_h", "s_t")
     return method, params, preset_imp
 
 
@@ -244,62 +244,35 @@ def parse_scenario(text: str, seed_override: int | None = None,
     blocks = parse_blocks(text)
     path = _build_path(_scalars(blocks.get("path", [])) if "path" in blocks else
                        {"preset": "exp1"})
-    v = _scalars(blocks.get("vehicle", []))
-    try:
-        vehicle = replace(VehicleConfig(), **_fields(v, _VEHICLE_KEYS))
-    except ParameterError as exc:
-        raise ScenarioError(f"[vehicle]: {exc}") from exc
-    c = _scalars(blocks.get("controller", []))
-    method, params, preset_imp = _build_controller(c)
-    i = _scalars(blocks.get("implement", []))
-    if i:
-        implement = replace(REAR_IMPLEMENT, **_fields(i, _IMPLEMENT_KEYS))
-    else:
-        implement = preset_imp or REAR_IMPLEMENT
-    if abs(implement.I_y) >= path.min_arc_radius():
-        raise ScenarioError("key 'I_y_m': |I_y| must stay below the minimum arc radius")
-    r = _scalars(blocks.get("run", []))
-    if "initial_y_m" in r:
-        initial_y = _num(r, "initial_y_m", 0.0)
-    else:
-        initial_y = initial_lateral_for_error(_num(r, "initial_e_I_m", 0.5), implement)
-    n = _scalars(blocks.get("noise", []))
+    v, c, i, r, n = (_scalars(blocks.get(name, []))
+                     for name in ("vehicle", "controller", "implement", "run", "noise"))
     enabled = n.get("enabled", "false")
     if enabled not in ("true", "false"):
         raise ScenarioError("key 'enabled': expected true or false")
-    noise = replace(NoiseSpec(), **_fields(n, _NOISE_KEYS, _non_negative),
-                    enabled=(enabled == "true") if noise_override is None else noise_override)
     seed = _seed(r) if seed_override is None else seed_override
-    initial_s = _num(r, "initial_s_m", 0.0)
-    if not 0.0 <= initial_s <= path.total_length:
-        raise ScenarioError(f"line {r['initial_s_m'].line}: key 'initial_s_m': must lie in "
-                            f"[0, {path.total_length!r}], got {r['initial_s_m']!r}")
-    run_length = _num(r, "length_m", path.total_length - 1.0)
-    if not initial_s < run_length:
-        # the run would stop at its first record; point at initial_s_m, else length_m
-        at = r.get("initial_s_m") or r.get("length_m")
-        where = f"line {at.line}: " if at else ""
-        raise ScenarioError(f"{where}key 'initial_s_m': must be below the run length "
-                            f"{run_length!r}, got {initial_s!r}")
-    try:
-        scn = Scenario(
-            path=path, vehicle=vehicle, implement=implement,
-            method=method, params=params,
-            run_length=run_length,
-            dt=_positive(r, "dt_s", 0.01),
-            control_period=_positive(r, "control_period_s", 0.1),
-            initial_s=initial_s,
-            initial_y=initial_y,
-            initial_theta=_num(r, "initial_theta_rad", 0.0),
-            seed=seed, noise=noise)
+    try:  # the config classes check every value; a failed check names its key's line
+        vehicle = replace(VehicleConfig(), **_fields(v, _VEHICLE_KEYS))
+        method, params, preset_imp = _build_controller(c)
+        if i:
+            implement = replace(REAR_IMPLEMENT, **_fields(i, _IMPLEMENT_KEYS))
+        else:
+            implement = preset_imp or REAR_IMPLEMENT
+        run = _fields(r, _RUN_KEYS)
+        run.setdefault("run_length", path.total_length - 1.0)
+        if "initial_y" not in run:
+            run["initial_y"] = initial_lateral_for_error(_num(r, "initial_e_I_m", 0.5),
+                                                         implement)
+        noise = replace(NoiseSpec(), **_fields(n, _NOISE_KEYS),
+                        enabled=(enabled == "true") if noise_override is None else noise_override)
+        scn = Scenario(path=path, vehicle=vehicle, implement=implement, method=method,
+                       params=params, seed=seed, noise=noise, **run)
+        if scn.max_steps > MAX_PLANT_STEPS:  # the bound of run_scenario's loop
+            raise ParameterError(f"the run may take {scn.max_steps:.3g} plant steps "
+                                 f"(its budget, Scenario.max_steps), "
+                                 f"above the limit {MAX_PLANT_STEPS}",
+                                 "speed", "dt", "run_length", "control_period")
     except ParameterError as exc:
-        raise ScenarioError(f"[run]: {exc}") from exc
-    if scn.max_steps > MAX_PLANT_STEPS:  # the bound of run_scenario's loop
-        at = v.get("speed_m_s") or r.get("dt_s") or r.get("length_m") or r.get("control_period_s")
-        where = f"line {at.line}: " if at else "[run]: "
-        raise ScenarioError(f"{where}the run may take {scn.max_steps:.3g} plant steps "
-                            f"(its budget, Scenario.max_steps), "
-                            f"above the limit {MAX_PLANT_STEPS}")
+        raise _at_line(exc, {**v, **c, **i, **r, **n}) from exc
     return scn
 
 
@@ -322,9 +295,6 @@ def resolved_config(scn: Scenario) -> dict:
         "vehicle": _echo(scn.vehicle, _VEHICLE_KEYS),
         "implement": _echo(scn.implement, _IMPLEMENT_KEYS),
         "controller": {"method": scn.method, **params},
-        "run": {"length_m": scn.run_length, "dt_s": scn.dt,
-                "control_period_s": scn.control_period,
-                "initial_s_m": scn.initial_s, "initial_y_m": scn.initial_y,
-                "initial_theta_rad": scn.initial_theta, "seed": scn.seed},
+        "run": {**_echo(scn, _RUN_KEYS), "seed": scn.seed},
         "noise": {"enabled": scn.noise.enabled, **_echo(scn.noise, _NOISE_KEYS)},
     }

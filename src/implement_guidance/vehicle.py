@@ -28,7 +28,8 @@ class VehicleConfig:
     def __post_init__(self):
         require_positive(self, ("wheelbase", "steer_rate_limit", "speed"))
         if not 0 < self.steer_limit < math.pi / 2:
-            raise ParameterError(f"steer_limit must be in (0, pi/2), got {self.steer_limit!r}")
+            raise ParameterError(f"steer_limit must be in (0, pi/2), got {self.steer_limit!r}",
+                                 "steer_limit")
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class ImplementConfig:
     def __post_init__(self):
         for name in ("I_s", "I_y"):
             if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}", name)
 
 
 class VehiclePose(NamedTuple):

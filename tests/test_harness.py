@@ -61,9 +61,11 @@ def test_scenario_validation():
         straight_scenario(dt=1e-320)
     with pytest.raises(ParameterError):
         straight_scenario(method="mpc").make_controller()
-    for initial_s in (55.0, 56.0, math.nan):  # run_length is 55
+    for initial_s in (55.0, 56.0):  # run_length is 55
         with pytest.raises(ParameterError, match="initial_s must be below run_length"):
             straight_scenario(initial_s=initial_s)
+    with pytest.raises(ParameterError, match=r"initial_s must lie in \[0, 60\.0\]"):
+        straight_scenario(initial_s=math.nan)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -90,6 +92,19 @@ def test_noise_spec_accepts_zero_std():
     spec = NoiseSpec(enabled=True, y_std=0.0, theta_std=0.0, omega_std=0.0)
     log = run_scenario(straight_scenario(run_length=10.0, noise=spec, seed=3))
     assert log.records == run_scenario(straight_scenario(run_length=10.0)).records
+
+
+def test_noise_spec_reads_negative_zero_std_as_zero():
+    assert NoiseSpec(y_std=-0.0).y_std.hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("I_y", [8.0, -8.0, 9.0])
+def test_scenario_rejects_an_implement_at_or_beyond_the_min_arc_radius(I_y):
+    # a Scenario built in code, as compare and sweep build theirs
+    path = build_experiment_path("exp1")
+    assert path.min_arc_radius() == 8.0
+    with pytest.raises(ParameterError, match=r"\|I_y\| must stay below the minimum arc radius"):
+        straight_scenario(path=path, run_length=40.0, implement=ImplementConfig(-1.0, I_y))
 
 
 def test_initial_lateral_for_error():
@@ -404,6 +419,20 @@ def test_each_fault_exit_records_one_faulted_last_record(monkeypatch, fault):
     assert log.records[-1].t == t
     if fault is _step_fault:
         assert log.records[-1][1:4] == log.records[-2][1:4]
+
+
+def test_budget_whose_last_step_reaches_run_length_records_that_step(monkeypatch):
+    # each step advances s by just over run_length / max_steps, so only the
+    # budget's last step reaches the length: its end state is the last record
+    scn = straight_scenario(run_length=2.0)
+    ds = scn.run_length / scn.max_steps * (1 + 1e-9)
+    monkeypatch.setattr(harness, "step", lambda pose, proj, *args: (
+        pose, proj._replace(frenet=proj.frenet._replace(s=proj.frenet.s + ds))))
+    log = run_scenario(scn)
+    assert log.fault is None
+    assert len(log.records) == scn.max_steps + 1 == 611
+    assert log.records[-1].s >= scn.run_length > log.records[-2].s
+    assert not any(r.fault for r in log.records)
 
 
 @pytest.mark.parametrize("speed, dt", [(1e-200, 1e-200), (1e-300, 1e-10)])

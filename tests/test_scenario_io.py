@@ -196,7 +196,8 @@ def test_initial_y_takes_precedence_over_initial_e():
 def test_initial_s_outside_path_rejected_with_line(value):
     # exp1 is 48.27... m long
     text = f"format_version 1\n[path]\npreset exp1\n[run]\ninitial_s_m {value}\n"
-    with pytest.raises(ScenarioError, match=r"line 5: key 'initial_s_m': must lie in \[0, 48\.27"):
+    with pytest.raises(ScenarioError, match=r"line 5: key 'initial_s_m': initial_s must lie in "
+                                            r"\[0, 48\.27"):
         parse_scenario(text)
 
 
@@ -216,13 +217,15 @@ def test_initial_s_at_either_end_accepted():
 ])
 def test_initial_s_at_or_beyond_run_length_rejected_with_line(run, line):
     text = f"format_version 1\n[path]\npreset exp1\n[run]\n{run}"
-    with pytest.raises(ScenarioError, match=rf"line {line}: key 'initial_s_m': must be below "
-                                            r"the run length"):
+    key = "initial_s_m" if "initial_s_m" in run else "length_m"
+    with pytest.raises(ScenarioError, match=rf"line {line}: key '{key}': initial_s must be "
+                                            r"below run_length"):
         parse_scenario(text)
 
 
 def test_negative_zero_noise_std_reads_as_zero():
-    # numpy's normal() rejects a scale whose sign bit is set
+    # noise is 0.0 + std * z, which draws alike for either zero; -0.0 reads
+    # as 0.0 so that the echo shows 0.0
     text = "format_version 1\n[noise]\nenabled true\ny_std_m -0\n"
     assert parse_scenario(text).noise.y_std.hex() == (0.0).hex()
 
@@ -237,7 +240,8 @@ def test_cost_limits_admit_their_bound():
              "[run]\ndt_s 0.5\ncontrol_period_s 0.5\nlength_m {}\n")
     assert 6 * 1666666.5 + 1 == MAX_PLANT_STEPS
     assert parse_scenario(steps.format(1666666.5)).run_length == 1666666.5
-    with pytest.raises(ScenarioError, match=r"line 5: the run may take 1e\+07 plant steps"):
+    with pytest.raises(ScenarioError, match=r"line 5: key 'dt_s': the run may take 1e\+07 "
+                                            r"plant steps"):
         parse_scenario(steps.format(1666666.75))
 
 
