@@ -108,7 +108,7 @@ def cmd_compare(args) -> int:
         with open(os.path.join(out, row["csv"]), "w") as fh:
             write_csv(log, fh)
         per_placement.setdefault(placement, {})[method] = {
-            "s": [r.s for r in log.records], "e": [r.e_I_exact for r in log.records],
+            "s": log.column("s"), "e": log.column("e_I_exact"),
             "summary": row["summary"],
         }
     ratios = {}

@@ -9,10 +9,11 @@ ground-truth implement error.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import compress, groupby
-from operator import attrgetter
 from typing import NamedTuple
 
 from .controllers import CONTROLLERS, BaselineParams, Controller, OptimalParams
@@ -124,10 +125,76 @@ class LogRecord(NamedTuple):
     fault: bool
 
 
-@dataclass
+# a record's floats, in CSV order
+FLOAT_FIELDS = LogRecord._fields[:9]
+_WIDTH = len(FLOAT_FIELDS)
+
+
 class RunLog:
-    records: list[LogRecord] = field(default_factory=list)
-    fault: str | None = None   # fault description when the run aborted
+    """One run's log, held by column: `values` holds each record's nine
+    floats (FLOAT_FIELDS) unboxed, record after record, `segments` its
+    segment label and `faults` its fault flag (0 or 1). `records` reads the
+    same log as LogRecords; RunLog(records) builds a log of LogRecords."""
+
+    __slots__ = ("values", "segments", "faults", "fault")
+
+    def __init__(self, records=(), fault: str | None = None):
+        self.values = array("d")
+        self.segments: list[str] = []
+        self.faults = bytearray()
+        self.fault = fault  # fault description when the run aborted
+        for r in records:
+            self.values.extend(r[:_WIDTH])
+            self.segments.append(r.segment)
+            self.faults.append(r.fault)
+
+    @property
+    def records(self) -> RecordsView:
+        return RecordsView(self)
+
+    def column(self, name: str) -> array:
+        """One float field (FLOAT_FIELDS) of every record, as an array('d')."""
+        return self.values[FLOAT_FIELDS.index(name)::_WIDTH]
+
+
+def _rows(log: RunLog):
+    """Each record of log as one tuple: its nine floats, segment label and
+    fault flag."""
+    floats = iter(log.values)
+    return zip(*[floats] * _WIDTH, log.segments, map(bool, log.faults))
+
+
+class RecordsView(Sequence):
+    """RunLog.records: a read-only sequence of the log's LogRecords, each
+    built when it is read. It equals a list of the same records."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: RunLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log.segments)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        log = self._log
+        i = range(len(log.segments))[i]  # negative indices and IndexError as a list's
+        k = i * _WIDTH
+        return _new_tuple(LogRecord, (*log.values[k:k + _WIDTH], log.segments[i],
+                                      bool(log.faults[i])))
+
+    def __iter__(self):
+        return map(LogRecord._make, _rows(self._log))
+
+    def __eq__(self, other):
+        if isinstance(other, RecordsView):
+            a, b = self._log, other._log
+            return a.values == b.values and a.segments == b.segments and a.faults == b.faults
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -229,15 +296,15 @@ def _standard_normals(rng):
 def _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault):
     s, y, theta_tilde = proj.frenet
     imp = scn.implement
-    log.records.append(_new_tuple(LogRecord, (
+    log.values.extend((
         t, s, y, theta_tilde,
         implement_error_exact(pose, imp, path, s + imp.I_s),
         # implement_error_measured, with its floats
         y + imp.I_s * math.sin(theta_tilde) + imp.I_y * math.cos(theta_tilde),
         delta_cmd, pose.steer, theta_d,
-        path.labels[proj.segment],
-        fault,
-    )))
+    ))
+    log.segments.append(path.labels[proj.segment])
+    log.faults.append(fault)
 
 
 def _lerp(a: float, b: float, t: float) -> float:
@@ -271,16 +338,15 @@ def summarize(log: RunLog, junctions: tuple[float, ...] = (), horizon: float = 0
     overshoot is the max |e_I| within +/- (horizon + window_pad) of each
     curvature discontinuity.
     """
-    records = log.records
-    if not records:
+    if not log.segments:
         raise ParameterError("cannot summarize an empty log")
-    # one pass per field: on a long log every pass over the records misses the cache
-    e = list(map(abs, map(attrgetter("e_I_exact"), records)))
-    start = records[0].s + skip_s
-    sample = sorted(list(compress(e, [r.s >= start for r in records])) or e)
+    s = log.column("s")
+    e = list(map(abs, log.column("e_I_exact")))
+    start = s[0] + skip_s
+    sample = sorted(list(compress(e, [x >= start for x in s])) or e)
     per_segment = {}
     i = 0
-    for label, run in groupby(map(attrgetter("segment"), records)):  # one run per segment visit
+    for label, run in groupby(log.segments):  # one run per segment visit
         j = i + len(list(run))
         per_segment.setdefault(label, []).extend(e[i:j])
         i = j
@@ -288,7 +354,6 @@ def summarize(log: RunLog, junctions: tuple[float, ...] = (), horizon: float = 0
     if junctions:
         # s need not be monotone along the log, so windows are cut from the
         # records sorted by s
-        s = [r.s for r in records]
         order = sorted(range(len(s)), key=s.__getitem__)
         by_s = [s[k] for k in order]
         half = horizon + window_pad
@@ -306,7 +371,7 @@ def summarize(log: RunLog, junctions: tuple[float, ...] = (), horizon: float = 0
         max_abs_e=sample[-1],
         per_segment_median={k: _median(v) for k, v in per_segment.items()},
         junction_overshoot=overshoot,
-        fault_count=sum(map(attrgetter("fault"), records)),
+        fault_count=sum(log.faults),
         n_samples=len(sample),
     )
 
@@ -363,18 +428,18 @@ def write_csv(log: RunLog, fh) -> None:
     """Write the log in the documented CSV schema; floats use shortest
     round-trip formatting so write -> parse -> write is byte-identical."""
     fh.write(CSV_HEADER + "\n")
-    # a held command is the same float object row after row: format it once
-    last_cmd = last_theta = last_actual = None
+    # a held command, and a steer that has reached it, repeat row after row:
+    # format them again only when the value changes. Equal nonzero floats
+    # print alike; 0.0 and -0.0 do not, and NaN equals nothing
+    last_cmd = last_actual = last_theta = None
     for (t, s, y, theta_tilde, e_exact, e_measured, d_cmd, d_actual, theta_d, segment,
-         fault) in log.records:
-        if d_cmd is not last_cmd:
+         fault) in _rows(log):
+        if d_cmd != last_cmd or not d_cmd:
             last_cmd, cmd_text = d_cmd, repr(d_cmd)
-        if theta_d is not last_theta:
-            last_theta, theta_text = theta_d, repr(theta_d)
-        # a steer that has reached its command repeats as a new float of the
-        # same value; equal nonzero floats print alike, 0.0 and -0.0 do not
         if d_actual != last_actual or not d_actual:
             last_actual, actual_text = d_actual, repr(d_actual)
+        if theta_d != last_theta or not theta_d:
+            last_theta, theta_text = theta_d, repr(theta_d)
         fh.write(",".join([
             repr(t), repr(s), repr(y), repr(theta_tilde),
             repr(e_exact), repr(e_measured),
@@ -388,13 +453,16 @@ def read_csv(fh) -> RunLog:
     if header != CSV_HEADER:
         raise ParameterError(f"unexpected CSV header: {header!r}")
     log = RunLog()
+    labels = {}  # one str per segment label, as a run shares its path's labels
     for n, line in enumerate(fh, start=2):
         parts = line.rstrip("\n").split(",")
         try:
             if len(parts) != len(LogRecord._fields):
                 raise ValueError(f"{len(parts)} fields, expected {len(LogRecord._fields)}")
-            vals = [float(p) for p in parts[:9]]
+            vals = [float(p) for p in parts[:_WIDTH]]
         except ValueError as exc:
             raise ParameterError(f"CSV line {n}: {exc}") from None
-        log.records.append(LogRecord(*vals, parts[9], parts[10] == "1"))
+        log.values.extend(vals)
+        log.segments.append(labels.setdefault(parts[9], parts[9]))
+        log.faults.append(parts[10] == "1")
     return log

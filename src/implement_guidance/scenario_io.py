@@ -46,6 +46,9 @@ _RUN_KEYS = {"length_m": "run_length", "dt_s": "dt", "control_period_s": "contro
 _FIELD_KEYS = {name: key for keys in (_VEHICLE_KEYS, _IMPLEMENT_KEYS, _OPTIMAL_KEYS,
                                       _BASELINE_KEYS, _NOISE_KEYS, _RUN_KEYS)
                for key, name in keys.items()}
+# config field -> the file key it is derived from when the file leaves out
+# the field's own key
+_DERIVED_KEYS = {"initial_y": "initial_e_I_m"}
 
 _BLOCK_KEYS = {
     "path": {"preset", "start_x_m", "start_y_m", "start_heading_rad", "segment"},
@@ -90,7 +93,7 @@ def parse_blocks(text: str) -> dict:
         if current is None:
             if key == "format_version":
                 if value != str(FORMAT_VERSION):
-                    raise ScenarioError(f"unsupported format_version {value!r}")
+                    raise ScenarioError(f"line {lineno}: unsupported format_version {value!r}")
                 version_seen = True
                 continue
             raise ScenarioError(f"line {lineno}: key {key!r} outside any block")
@@ -143,10 +146,13 @@ def _echo(config, keys: dict) -> dict:
 
 
 def _at_line(exc: ParameterError, given: dict) -> ScenarioError:
-    """exc as "line N: key K: ...", at the first field it blames whose key the
-    file sets (given: key -> value, over all blocks)."""
+    """exc as "line N: key K: ...", at the first field it blames whose key, or
+    the key it is derived from, the file sets (given: key -> value, over all
+    blocks)."""
     for name in exc.fields:
         key = _FIELD_KEYS.get(name)
+        if key not in given:
+            key = _DERIVED_KEYS.get(name)
         if key in given:
             return ScenarioError(f"line {given[key].line}: key {key!r}: {exc}")
     return ScenarioError(str(exc))
@@ -186,7 +192,7 @@ def _build_path(d: dict):
     if "preset" in d:
         name = d["preset"]
         if name not in PRESET_DESCRIPTORS:
-            raise ScenarioError(f"key 'preset': unknown path preset {name!r}")
+            raise ScenarioError(f"line {name.line}: key 'preset': unknown path preset {name!r}")
         descriptors = PRESET_DESCRIPTORS[name]
     elif "segment" in d:
         descriptors = [_parse_segment(s) for s in d["segment"]]
@@ -219,12 +225,15 @@ def _build_controller(d: dict):
     preset_imp = params_p = None
     method = d.get("method")
     if "preset" in d:
-        method_p, preset_imp, params_p = controller_preset(d["preset"])
+        try:
+            method_p, preset_imp, params_p = controller_preset(d["preset"])
+        except ScenarioError as exc:
+            raise ScenarioError(f"line {d['preset'].line}: key 'preset': {exc}") from None
         method = method or method_p
     if method is None:
         method = "optimal"
-    if method not in CONTROLLERS:
-        raise ScenarioError(f"key 'method': unknown method {method!r}")
+    if method not in CONTROLLERS:  # a preset's method is known: this one is the file's
+        raise ScenarioError(f"line {method.line}: key 'method': unknown method {method!r}")
     if method == "optimal":
         keys, params = _OPTIMAL_KEYS, TABLE1[("optimal", "rear")][1]
     else:  # both baselines default to the rear backstepping gains
@@ -248,7 +257,8 @@ def parse_scenario(text: str, seed_override: int | None = None,
                      for name in ("vehicle", "controller", "implement", "run", "noise"))
     enabled = n.get("enabled", "false")
     if enabled not in ("true", "false"):
-        raise ScenarioError("key 'enabled': expected true or false")
+        raise ScenarioError(f"line {enabled.line}: key 'enabled': expected true or false, "
+                            f"got {enabled!r}")
     seed = _seed(r) if seed_override is None else seed_override
     try:  # the config classes check every value; a failed check names its key's line
         vehicle = replace(VehicleConfig(), **_fields(v, _VEHICLE_KEYS))

@@ -7,8 +7,8 @@ import numpy as np
 
 
 def column(log, name):
-    """One field of every record of a run log, as a numpy array."""
-    return np.array([getattr(r, name) for r in log.records])
+    """One float field of every record of a run log, as a numpy array."""
+    return np.array(log.column(name))
 
 
 def edge_floats(limit, seed=0, n=40):

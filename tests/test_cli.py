@@ -191,11 +191,19 @@ def test_shipped_scenarios_validate(tmp_path, capsys):
     ("[path]\npreset exp1\n[controller]\ns_t_m 3\n", 5),
     ("[path]\npreset exp1\n[implement]\nI_y_m 9\n", 5),  # exp1's smallest radius is 8 m
     ("[path]\npreset exp1\n[vehicle]\nspeed_m_s 1e-320\n", 5),
+    ("[path]\npreset exp1\n[controller]\npreset table3\n", 5),
+    ("[path]\npreset exp9\n", 3),
+    ("[path]\npreset exp1\n[controller]\nmethod pid\n", 5),
+    ("[path]\npreset exp1\n[noise]\nenabled yes\n", 5),
+    ("[path]\nsegment kind=line length_m=20\n[implement]\nI_y_m -1e308\n"
+     "[run]\ninitial_e_I_m 1e308\n", 7),
 ], ids=["segment_not_a_number", "segment_infinite", "dt_zero", "run_length_nan",
         "seed_not_integer", "initial_s_beyond_path", "initial_s_beyond_run_length",
         "noise_std_negative", "horizon_samples_beyond_limit", "plant_steps_beyond_limit",
         "steer_limit_beyond_pi_2", "control_period_not_a_multiple_of_dt", "lambda_zero",
-        "s_t_above_s_h", "I_y_beyond_min_arc_radius", "plant_step_budget_not_finite"])
+        "s_t_above_s_h", "I_y_beyond_min_arc_radius", "plant_step_budget_not_finite",
+        "unknown_controller_preset", "unknown_path_preset", "unknown_method",
+        "noise_enabled_not_boolean", "initial_y_from_initial_e_not_finite"])
 def test_bad_value_exits_2_with_line(tmp_path, capsys, body, line):
     p = tmp_path / "bad.scn"
     p.write_text("format_version 1\n" + body)

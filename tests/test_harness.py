@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -616,6 +617,56 @@ def test_front_optimal_anticipates_junction_at_the_implement():
 
 # ------------------------------------------------------------ log invariants
 
+def test_run_log_costs_at_most_96_bytes_per_record():
+    # nine unboxed floats (72 B), a shared segment label and a fault flag;
+    # a LogRecord of boxed floats cost 317-361 B
+    scn = straight_scenario(path=build_experiment_path("exp1"), run_length=45.0, seed=7,
+                            noise=NoiseSpec(enabled=True))
+    run_scenario(scn)  # the noise generator's first use is not the log's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = run_scenario(scn)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log.records) > 4000
+    assert held / len(log.records) <= 96
+
+
+def _records_of_csv(text):
+    """The records of a CSV, parsed field by field into a list of LogRecords:
+    the records a list-of-records log held, as the golden hashes pin its CSV."""
+    return [LogRecord(*map(float, row[:9]), row[9], row[10] == "1")
+            for row in (line.split(",") for line in text.splitlines()[1:])]
+
+
+def test_records_view_counts_plant_steps_and_equals_a_list_of_records(monkeypatch):
+    scn = straight_scenario(path=build_experiment_path("exp1"), run_length=45.0, seed=7,
+                            noise=NoiseSpec(enabled=True))
+    steps = []
+    step = harness.step
+    monkeypatch.setattr(harness, "step", lambda *args: steps.append(1) or step(*args))
+    monkeypatch.setattr(harness, "LogRecord", None)  # the run and len() build no record
+    log = run_scenario(scn)
+    assert len(log.records) == len(steps) + 1  # the start state, then each step's end
+    monkeypatch.undo()
+    got, want = log.records, _records_of_csv(_csv(log))
+    assert got == want and want == got and not got != want
+    assert list(got) == want and got == run_scenario(scn).records
+    n = len(want)
+    for i in (0, 1, n // 2, n - 1, -1, -2, -n):
+        assert got[i] == want[i] and type(got[i]) is LogRecord
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            got[i]
+    for part in (slice(None), slice(5), slice(-3, None), slice(None, None, 7), slice(10, 2),
+                 slice(-1, 0, -3)):
+        assert got[part] == want[part]
+    assert got != want[:-1] and got[:-1] != want
+    assert RunLog(want).records == got
+
+
 def test_logged_steer_respects_actuator_limits():
     log = run_scenario(straight_scenario(path=build_experiment_path("exp1"),
                                          run_length=45.0))
@@ -625,6 +676,12 @@ def test_logged_steer_respects_actuator_limits():
 
 
 # ---------------------------------------------------------------------- CSV
+
+def _csv(log):
+    buf = io.StringIO()
+    write_csv(log, buf)
+    return buf.getvalue()
+
 
 def test_csv_round_trip_byte_identical():
     log = run_scenario(straight_scenario(run_length=20.0))
@@ -639,14 +696,24 @@ def test_csv_round_trip_byte_identical():
 
 
 def test_csv_formats_delta_actual_by_value_and_sign():
-    # a repeated delta_actual is formatted once; 0.0 == -0.0, but they print apart
-    values = [0.1, 0.1, 0.0, -0.0, -0.0, 0.0, 0.2, 0.1]
-    log = RunLog([LogRecord(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, d, 0.0, "L1", False)
-                  for d in values])
-    buf = io.StringIO()
-    write_csv(log, buf)
-    column = [row.split(",")[7] for row in buf.getvalue().splitlines()[1:]]
-    assert column == list(map(repr, values))
+    # a repeated delta_cmd, delta_actual or theta_d is formatted once;
+    # 0.0 == -0.0, but they print apart, and NaN equals nothing
+    values = [0.1, 0.1, 0.0, -0.0, -0.0, 0.0, 0.2, 0.1, math.nan, math.nan, 0.1, -0.0]
+    columns = [values, values[3:] + values[:3], values[::-1]]
+    log = RunLog([LogRecord(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, d_cmd, d_actual, theta_d, "L1", False)
+                  for d_cmd, d_actual, theta_d in zip(*columns)])
+    rows = [row.split(",") for row in _csv(log).splitlines()[1:]]
+    for k, want in zip((6, 7, 8), columns):  # delta_cmd, delta_actual, theta_d
+        assert [row[k] for row in rows] == list(map(repr, want))
+
+
+def test_csv_round_trip_of_a_faulted_run(monkeypatch):
+    message, n = _step_fault(monkeypatch)
+    log = run_scenario(straight_scenario(run_length=2.0))
+    assert log.fault == message
+    text = _csv(log)
+    assert [row[-1] for row in text.splitlines()[1:]] == ["0"] * (n - 1) + ["1"]
+    assert _csv(read_csv(io.StringIO(text))) == text
 
 
 def test_csv_bad_header_rejected():

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,33 @@ def test_implement_offset_vs_min_radius():
 def test_noise_enabled_must_be_boolean():
     with pytest.raises(ScenarioError, match="true or false"):
         parse_scenario("format_version 1\n[noise]\nenabled maybe\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("format_version 1\n# a preset\n[controller]\npreset table3_magic\n",
+     "line 4: key 'preset': unknown controller preset 'table3_magic'"),
+    ("format_version 1\n\n[path]\npreset exp9\n",
+     "line 4: key 'preset': unknown path preset 'exp9'"),
+    ("format_version 1\n[controller]\ns_h_m 2\nmethod pid\n",
+     "line 4: key 'method': unknown method 'pid'"),
+    ("format_version 1\n[noise]\ny_std_m 0.1\nenabled maybe\n",
+     "line 4: key 'enabled': expected true or false, got 'maybe'"),
+    ("# version 2\n\n\nformat_version 2\n", "line 4: unsupported format_version '2'"),
+], ids=["controller_preset", "path_preset", "method", "enabled", "format_version"])
+def test_file_level_errors_name_their_line(text, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(text)
+
+
+def test_initial_y_derived_from_initial_e_names_its_line():
+    # initial_y = initial_e_I - I_y = 1e308 + 1e308 overflows to inf
+    text = ("format_version 1\n[path]\nsegment kind=line length_m=20\n"
+            "[implement]\nI_y_m -1e308\n[run]\ninitial_e_I_m 1e308\n")
+    with pytest.raises(ScenarioError, match=r"^line 7: key 'initial_e_I_m': initial_y must be "
+                                            r"finite, got inf$"):
+        parse_scenario(text)
+    # with initial_y_m set, initial_e_I_m is not read
+    assert parse_scenario(text + "initial_y_m 0.25\n").initial_y == 0.25
 
 
 # ------------------------------------------------------------------ presets
