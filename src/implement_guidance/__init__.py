@@ -19,7 +19,6 @@ from .controllers import (
 from .harness import (
     NoiseSpec,
     RunLog,
-    RunSummary,
     Scenario,
     compare_methods,
     run_scenario,

@@ -77,10 +77,8 @@ def cmd_run(args) -> int:
     log, summary = run_and_summarize(scn)
     with open(os.path.join(out, "run.csv"), "w") as fh:
         write_csv(log, fh)
-    payload = summary.to_dict()
-    payload["fault"] = log.fault
-    payload["scenario"] = resolved_config(scn)
-    _write_json(os.path.join(out, "summary.json"), payload)
+    _write_json(os.path.join(out, "summary.json"),
+                {**summary, "fault": log.fault, "scenario": resolved_config(scn)})
     if log.fault:
         print(f"simulation fault: {log.fault}", file=sys.stderr)
         return EXIT_FAULT
@@ -100,17 +98,21 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     path = build_experiment_path("exp1")
     placements = (args.placement,) if args.placement else ("front", "rear")
-    rows = compare_methods(_base_scenario(args, path), placements)
-    per_placement: dict[str, dict] = {}
-    for row in rows:
-        placement, method, log = row["placement"], row["method"], row.pop("log")
-        row["csv"] = f"run_{placement}_{method}.csv"
-        with open(os.path.join(out, row["csv"]), "w") as fh:
+    rows = []
+    per_placement: dict[str, dict] = {}  # the figure's series
+    for placement, method, log, summary in compare_methods(_base_scenario(args, path),
+                                                           placements):
+        csv = f"run_{placement}_{method}.csv"
+        with open(os.path.join(out, csv), "w") as fh:
             write_csv(log, fh)
+        overshoot = summary["junction_overshoot_m"]
+        rows.append({"method": method, "placement": placement,
+                     "reconstruction": method != "optimal", "summary": summary,
+                     "max_junction_overshoot_m": max(overshoot.values()) if overshoot else 0.0,
+                     "fault": log.fault, "csv": csv})
         per_placement.setdefault(placement, {})[method] = {
-            "s": log.column("s"), "e": log.column("e_I_exact"),
-            "summary": row["summary"],
-        }
+            "s": log.column("s"), "e": log.column("e_I_exact"), "summary": summary}
+        del log  # before the next run starts
     ratios = {}
     for placement in placements:
         by_method = {r["method"]: r["max_junction_overshoot_m"] for r in rows
@@ -129,8 +131,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
-    path = build_experiment_path("exp2")
     rows = TABLE2
     if args.horizons:
         try:
@@ -142,12 +142,14 @@ def cmd_sweep(args) -> int:
         if not rows:
             print("error: no Table II row matches --horizons", file=sys.stderr)
             return EXIT_VALIDATION
+    out = _out_dir(args)  # made only once the horizons parsed
+    path = build_experiment_path("exp2")
     points = []
     for params, log, summary in sweep_horizon(_base_scenario(args, path), rows):
-        d = summary.to_dict()
-        d.update(s_h_m=params.s_h, lambda_per_m=params.lam,
-                 k_theta_per_m=params.k_theta, s_t_m=params.s_t, fault=log.fault)
-        points.append(d)
+        points.append({**summary, "s_h_m": params.s_h, "lambda_per_m": params.lam,
+                       "k_theta_per_m": params.k_theta, "s_t_m": params.s_t,
+                       "fault": log.fault})
+        del log  # before the next run starts
     best = min(points, key=lambda p: p["median_abs_e_m"])
     _write_json(os.path.join(out, "sweep.json"),
                 {"points": points, "argmin_s_h_m": best["s_h_m"]})

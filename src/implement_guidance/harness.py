@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import compress, groupby
 from typing import NamedTuple
@@ -71,6 +71,12 @@ class Scenario:
     max_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.method not in CONTROLLERS:
+            raise ParameterError(f"unknown method {self.method!r}", "method")
+        kind = OptimalParams if self.method == "optimal" else BaselineParams
+        if not isinstance(self.params, kind):
+            raise ParameterError(f"method {self.method!r} takes {kind.__name__}, "
+                                 f"got {type(self.params).__name__}", "method")
         radius = self.path.min_arc_radius()
         if not abs(self.implement.I_y) < radius:
             raise ParameterError(f"|I_y| must stay below the minimum arc radius {radius!r}, "
@@ -104,11 +110,7 @@ class Scenario:
         object.__setattr__(self, "max_steps", int(steps) + round(ratio))
 
     def make_controller(self) -> Controller:
-        try:
-            make = CONTROLLERS[self.method]
-        except KeyError:
-            raise ParameterError(f"unknown controller method {self.method!r}") from None
-        return make(self.params, self.implement, self.vehicle)
+        return CONTROLLERS[self.method](self.params, self.implement, self.vehicle)
 
 
 class LogRecord(NamedTuple):
@@ -195,30 +197,6 @@ class RecordsView(Sequence):
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    median_abs_e: float
-    q25: float
-    q75: float
-    max_abs_e: float
-    per_segment_median: dict
-    junction_overshoot: dict     # junction abscissa (str key) -> max |e_I| in window
-    fault_count: int
-    n_samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "median_abs_e_m": self.median_abs_e,
-            "q25_m": self.q25,
-            "q75_m": self.q75,
-            "max_abs_e_m": self.max_abs_e,
-            "per_segment_median_m": self.per_segment_median,
-            "junction_overshoot_m": self.junction_overshoot,
-            "fault_count": self.fault_count,
-            "n_samples": self.n_samples,
-        }
 
 
 def initial_lateral_for_error(e_I: float, imp: ImplementConfig) -> float:
@@ -331,8 +309,9 @@ def _median(xs: list[float]) -> float:
 
 
 def summarize(log: RunLog, junctions: tuple[float, ...] = (), horizon: float = 0.0,
-              skip_s: float = 5.0, window_pad: float = 3.0) -> RunSummary:
-    """Statistics over |e_I_exact|, excluding the initial convergence window.
+              skip_s: float = 5.0, window_pad: float = 3.0) -> dict:
+    """Statistics over |e_I_exact|, excluding the initial convergence window,
+    as the dict that summary.json holds.
 
     Quantiles use linear interpolation between order statistics. The junction
     overshoot is the max |e_I| within +/- (horizon + window_pad) of each
@@ -364,64 +343,51 @@ def summarize(log: RunLog, junctions: tuple[float, ...] = (), horizon: float = 0
             hi = bisect_left(by_s, True, key=lambda x: x - sj > half)
             if lo < hi:
                 overshoot[f"{sj:.6g}"] = max([e[k] for k in order[lo:hi]])
-    return RunSummary(
-        median_abs_e=_quantile(sample, 0.5),
-        q25=_quantile(sample, 0.25),
-        q75=_quantile(sample, 0.75),
-        max_abs_e=sample[-1],
-        per_segment_median={k: _median(v) for k, v in per_segment.items()},
-        junction_overshoot=overshoot,
-        fault_count=sum(log.faults),
-        n_samples=len(sample),
-    )
+    return {
+        "median_abs_e_m": _quantile(sample, 0.5),
+        "q25_m": _quantile(sample, 0.25),
+        "q75_m": _quantile(sample, 0.75),
+        "max_abs_e_m": sample[-1],
+        "per_segment_median_m": {k: _median(v) for k, v in per_segment.items()},
+        # junction abscissa (str key) -> max |e_I| in its window
+        "junction_overshoot_m": overshoot,
+        "fault_count": sum(log.faults),
+        "n_samples": len(sample),
+    }
 
 
-def run_and_summarize(scn: Scenario) -> tuple[RunLog, RunSummary]:
+def run_and_summarize(scn: Scenario) -> tuple[RunLog, dict]:
     log = run_scenario(scn)
     horizon = scn.params.s_h if isinstance(scn.params, OptimalParams) else 0.0
     return log, summarize(log, junctions=scn.path.junctions(), horizon=horizon)
 
 
 def sweep_horizon(base: Scenario, rows: list[OptimalParams] | None = None
-                  ) -> list[tuple[OptimalParams, RunLog, RunSummary]]:
+                  ) -> Iterator[tuple[OptimalParams, RunLog, dict]]:
     """One run per horizon row on the base scenario's path; rear implement.
 
-    Returns (params, log, summary) in order of s_h. Per-row faults are
-    recorded in the logs and summaries and the sweep continues.
+    Yields (params, log, summary) in order of s_h, each as its run ends and
+    holding no reference to it. Per-row faults are recorded in the logs and
+    summaries and the sweep continues.
     """
-    rows = TABLE2 if rows is None else rows
-    results = []
-    for params in sorted(rows, key=lambda p: p.s_h):
+    for params in sorted(TABLE2 if rows is None else rows, key=lambda p: p.s_h):
         scn = replace(base, method="optimal", params=params, implement=REAR_IMPLEMENT,
                       initial_y=initial_lateral_for_error(0.5, REAR_IMPLEMENT))
-        results.append((params, *run_and_summarize(scn)))
-    return results
+        yield params, *run_and_summarize(scn)
 
 
 def compare_methods(scn_template: Scenario, placements: tuple[str, ...] = ("front", "rear"),
                     methods: tuple[str, ...] = ("lateral_servoing", "backstepping", "optimal")
-                    ) -> list[dict]:
+                    ) -> Iterator[tuple[str, str, RunLog, dict]]:
     """Run each method/placement with its experiment-1 preset on the template
-    path and report summaries plus junction overshoots; each row holds its
-    run's RunLog under "log"."""
-    results = []
+    path. Yields (placement, method, log, summary), placement by placement,
+    each as its run ends and holding no reference to it."""
     for placement in placements:
         for method in methods:
             imp, params = TABLE1[(method, placement)]
             scn = replace(scn_template, method=method, params=params, implement=imp,
                           initial_y=initial_lateral_for_error(0.5, imp))
-            log, summary = run_and_summarize(scn)
-            results.append({
-                "method": method,
-                "placement": placement,
-                "reconstruction": method != "optimal",
-                "summary": summary.to_dict(),
-                "max_junction_overshoot_m":
-                    max(summary.junction_overshoot.values()) if summary.junction_overshoot else 0.0,
-                "fault": log.fault,
-                "log": log,
-            })
-    return results
+            yield placement, method, *run_and_summarize(scn)
 
 
 def write_csv(log: RunLog, fh) -> None:
@@ -459,6 +425,8 @@ def read_csv(fh) -> RunLog:
         try:
             if len(parts) != len(LogRecord._fields):
                 raise ValueError(f"{len(parts)} fields, expected {len(LogRecord._fields)}")
+            if parts[10] not in ("0", "1"):
+                raise ValueError(f"fault field {parts[10]!r}, expected 0 or 1")
             vals = [float(p) for p in parts[:_WIDTH]]
         except ValueError as exc:
             raise ParameterError(f"CSV line {n}: {exc}") from None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .controllers import CONTROLLERS, OptimalParams
+from .controllers import OptimalParams
 from .errors import GuidanceError, ParameterError, ScenarioError
 from .harness import NoiseSpec, Scenario, initial_lateral_for_error
 from .paths import PRESET_DESCRIPTORS, build_path
@@ -44,7 +44,8 @@ _RUN_KEYS = {"length_m": "run_length", "dt_s": "dt", "control_period_s": "contro
 # config field -> file key; each field name has one key (k_theta the same in
 # both controller tables)
 _FIELD_KEYS = {name: key for keys in (_VEHICLE_KEYS, _IMPLEMENT_KEYS, _OPTIMAL_KEYS,
-                                      _BASELINE_KEYS, _NOISE_KEYS, _RUN_KEYS)
+                                      _BASELINE_KEYS, _NOISE_KEYS, _RUN_KEYS,
+                                      {"method": "method"})
                for key, name in keys.items()}
 # config field -> the file key it is derived from when the file leaves out
 # the field's own key
@@ -232,11 +233,10 @@ def _build_controller(d: dict):
         method = method or method_p
     if method is None:
         method = "optimal"
-    if method not in CONTROLLERS:  # a preset's method is known: this one is the file's
-        raise ScenarioError(f"line {method.line}: key 'method': unknown method {method!r}")
     if method == "optimal":
         keys, params = _OPTIMAL_KEYS, TABLE1[("optimal", "rear")][1]
-    else:  # both baselines default to the rear backstepping gains
+    else:  # both baselines default to the rear backstepping gains; Scenario
+        # rejects an unknown method
         keys, params = _BASELINE_KEYS, TABLE1[("backstepping", "rear")][1]
     # a preset of the other kind of params lends the fields the two share
     lent = {name: getattr(params_p, name) for name in keys.values()

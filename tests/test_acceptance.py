@@ -130,11 +130,11 @@ def test_criterion_3_overshoot_reduction():
         implement=TABLE1[("optimal", "rear")][0], method="optimal",
         params=TABLE1[("optimal", "rear")][1],
         run_length=math.floor(path.total_length - 1.0), initial_y=1.0)
-    results = compare_methods(template, methods=("backstepping", "optimal"))
+    results = list(compare_methods(template, methods=("backstepping", "optimal")))
     ratios = {}
     for placement in ("rear", "front"):
-        by = {r["method"]: r["max_junction_overshoot_m"] for r in results
-              if r["placement"] == placement}
+        by = {method: max(summary["junction_overshoot_m"].values())
+              for p, method, _, summary in results if p == placement}
         ratios[placement] = by["optimal"] / by["backstepping"]
     dt = time.perf_counter() - t0
     ok = all(r <= 0.5 for r in ratios.values()) and dt < 5.0
@@ -153,9 +153,9 @@ def test_criterion_4_interior_optimal_horizon():
     base = Scenario(path=path, vehicle=CFG, implement=imp, method="optimal",
                     params=params, run_length=math.floor(path.total_length - 1.0),
                     initial_y=initial_lateral_for_error(0.5, imp))
-    results = sweep_horizon(base)
+    results = list(sweep_horizon(base))
     hs = [p.s_h for p, _, _ in results]
-    med = [summary.median_abs_e for _, _, summary in results]
+    med = [summary["median_abs_e_m"] for _, _, summary in results]
     i = int(np.argmin(med))
     interior = 0 < i < len(hs) - 1
     margin_lo = 1.0 - med[i] / med[0]

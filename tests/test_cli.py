@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import io
 import itertools
 import json
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -163,9 +165,31 @@ def test_sweep_with_horizon_filter(tmp_path):
     assert (out / "figure6.svg").exists()
 
 
+@pytest.mark.parametrize("command, runs", [
+    (["compare"], 6), (["sweep", "--horizons", "0.5,1.0,1.5"], 3)])
+def test_batches_drop_each_log_before_the_next_run(tmp_path, monkeypatch, command, runs):
+    # the CLI lays out each run's rows as the run ends and keeps no log, so a
+    # batch's peak follows its longest run, not its number of runs
+    # RunLog has no __weakref__ slot: each run's float column stands for its log
+    columns = []  # a weak reference to each run's column
+    live = []  # how many of them are alive as each run starts
+    original = harness.run_scenario
+
+    def run_scenario(scn):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in columns))
+        log = original(scn)
+        columns.append(weakref.ref(log.values))
+        return log
+    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+    assert main(["--out-dir", str(tmp_path / "o"), *command]) == 0
+    assert live == [0] * runs
+
+
 def test_sweep_bad_horizons(tmp_path, capsys):
     assert main(["--out-dir", str(tmp_path / "x"), "sweep", "--horizons", "abc"]) == 2
     assert main(["--out-dir", str(tmp_path / "x"), "sweep", "--horizons", "9.9"]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_shipped_scenarios_validate(tmp_path, capsys):

@@ -20,7 +20,6 @@ from implement_guidance.harness import (
     LogRecord,
     NoiseSpec,
     RunLog,
-    RunSummary,
     Scenario,
     compare_methods,
     initial_lateral_for_error,
@@ -444,6 +443,23 @@ def test_scenario_rejects_a_budget_that_is_not_finite(speed, dt):
         straight_scenario(vehicle=VehicleConfig(speed=speed), dt=dt, control_period=dt)
 
 
+def test_scenario_owns_the_method_rule():
+    # an unknown method, and params of the other method's kind, fail when the
+    # scenario is built, not when it runs
+    with pytest.raises(ParameterError, match="unknown method 'bogus'") as exc:
+        straight_scenario(method="bogus")
+    assert exc.value.fields == ("method",)
+    baseline = TABLE1[("backstepping", "rear")][1]
+    with pytest.raises(ParameterError, match="'optimal' takes OptimalParams") as exc:
+        straight_scenario(method="optimal", params=baseline)
+    assert exc.value.fields == ("method",)
+    for method in ("backstepping", "lateral_servoing"):
+        with pytest.raises(ParameterError, match="takes BaselineParams") as exc:
+            straight_scenario(method=method)
+        assert exc.value.fields == ("method",)
+        assert straight_scenario(method=method, params=baseline).method == method
+
+
 def test_run_stops_at_run_length():
     log = run_scenario(straight_scenario())
     assert log.fault is None
@@ -459,15 +475,14 @@ def test_summarize_quantiles_and_windows():
     e = np.abs(column(log, "e_I_exact"))
     summary = summarize(log, junctions=(20.0,), horizon=2.0)
     kept = e[s >= s[0] + 5.0]
-    assert summary.n_samples == kept.size
-    assert summary.median_abs_e == pytest.approx(np.quantile(kept, 0.5))
-    assert summary.q25 <= summary.median_abs_e <= summary.q75 <= summary.max_abs_e
+    assert summary["n_samples"] == kept.size
+    assert summary["median_abs_e_m"] == pytest.approx(np.quantile(kept, 0.5))
+    assert (summary["q25_m"] <= summary["median_abs_e_m"] <= summary["q75_m"]
+            <= summary["max_abs_e_m"])
     win = np.abs(s - 20.0) <= 5.0
-    assert summary.junction_overshoot["20"] == pytest.approx(e[win].max())
-    assert summary.fault_count == 0
-    assert set(summary.per_segment_median) == {"L1"}
-    d = summary.to_dict()
-    assert d["median_abs_e_m"] == summary.median_abs_e
+    assert summary["junction_overshoot_m"]["20"] == pytest.approx(e[win].max())
+    assert summary["fault_count"] == 0
+    assert set(summary["per_segment_median_m"]) == {"L1"}
 
 
 def _reference_summarize(log, junctions=(), horizon=0.0, skip_s=5.0, window_pad=3.0):
@@ -484,16 +499,16 @@ def _reference_summarize(log, junctions=(), horizon=0.0, skip_s=5.0, window_pad=
         win = np.abs(s - sj) <= horizon + window_pad
         if win.any():
             overshoot[f"{sj:.6g}"] = float(e[win].max())
-    return RunSummary(
-        median_abs_e=float(np.quantile(sample, 0.5, method="linear")),
-        q25=float(np.quantile(sample, 0.25, method="linear")),
-        q75=float(np.quantile(sample, 0.75, method="linear")),
-        max_abs_e=float(sample.max()),
-        per_segment_median={k: float(np.median(v)) for k, v in per_segment.items()},
-        junction_overshoot=overshoot,
-        fault_count=sum(1 for r in log.records if r.fault),
-        n_samples=int(sample.size),
-    )
+    return {
+        "median_abs_e_m": float(np.quantile(sample, 0.5, method="linear")),
+        "q25_m": float(np.quantile(sample, 0.25, method="linear")),
+        "q75_m": float(np.quantile(sample, 0.75, method="linear")),
+        "max_abs_e_m": float(sample.max()),
+        "per_segment_median_m": {k: float(np.median(v)) for k, v in per_segment.items()},
+        "junction_overshoot_m": overshoot,
+        "fault_count": sum(1 for r in log.records if r.fault),
+        "n_samples": int(sample.size),
+    }
 
 
 def _exact(obj):
@@ -507,8 +522,8 @@ def _exact(obj):
 
 
 def _assert_summaries_equal(log, **kwargs):
-    want = _reference_summarize(log, **kwargs).to_dict()
-    got = summarize(log, **kwargs).to_dict()
+    want = _reference_summarize(log, **kwargs)
+    got = summarize(log, **kwargs)
     assert got == want
     assert _exact(got) == _exact(want)
 
@@ -565,11 +580,11 @@ def test_summarize_empty_log_rejected():
 
 def test_sweep_horizon_rows_sorted_and_complete():
     base = straight_scenario(path=build_experiment_path("exp2"), run_length=50.0)
-    results = sweep_horizon(base, rows=[TABLE2[4], TABLE2[0], TABLE2[6]])
+    results = list(sweep_horizon(base, rows=[TABLE2[4], TABLE2[0], TABLE2[6]]))
     hs = [p.s_h for p, _, _ in results]
     assert hs == sorted(hs) and hs == [0.5, 2.5, 3.5]
     for _, _, summary in results:
-        assert summary.n_samples > 0
+        assert summary["n_samples"] > 0
 
 
 # ------------------------------------------------------------------ compare
@@ -578,13 +593,13 @@ def test_compare_methods_six_configurations():
     scn = straight_scenario(path=build_experiment_path("exp1"),
                             run_length=45.0,
                             vehicle=VehicleConfig(steer_rate_limit=0.15))
-    results = compare_methods(scn)
-    assert len(results) == 6
-    keys = {(r["method"], r["placement"]) for r in results}
-    assert len(keys) == 6
-    for r in results:
-        assert r["reconstruction"] == (r["method"] != "optimal")
-        assert "junction_overshoot_m" in r["summary"]
+    results = list(compare_methods(scn))
+    assert [(placement, method) for placement, method, _, _ in results] == [
+        (placement, method) for placement in ("front", "rear")
+        for method in ("lateral_servoing", "backstepping", "optimal")]
+    for _, _, log, summary in results:
+        assert summary["n_samples"] > 0 and log.fault is None
+        assert "junction_overshoot_m" in summary
 
 
 # ------------------------------------------------------------- anticipation
@@ -725,9 +740,13 @@ def test_csv_bad_header_rejected():
         read_csv(io.StringIO(CSV_HEADER + "\n" + good + "0.0,1.0,0.2\n"))
     with pytest.raises(ParameterError, match="line 2"):
         read_csv(io.StringIO(CSV_HEADER + "\n" + good.replace("0.2", "abc") + good))
+    # a fault flag other than 0 or 1 would not survive write -> read -> write
+    for flag in ("yes", "", "01", "true"):
+        with pytest.raises(ParameterError, match="line 3: fault field"):
+            read_csv(io.StringIO(CSV_HEADER + "\n" + good + good[:-2] + flag + "\n"))
 
 
 def test_run_and_summarize_reports_junctions():
     scn = straight_scenario(path=build_experiment_path("exp1"), run_length=45.0)
     log, summary = run_and_summarize(scn)
-    assert len(summary.junction_overshoot) == len(scn.path.junctions())
+    assert len(summary["junction_overshoot_m"]) == len(scn.path.junctions())
