@@ -58,12 +58,12 @@ def _write_json(path: str, obj) -> None:
 def _read_scenario(file: str, **overrides) -> Scenario | None:
     """The scenario in file, or None once the reason it is not valid is printed."""
     try:
-        with open(file) as fh:
+        with open(file, encoding="utf-8") as fh:
             text = fh.read()
         return parse_scenario(text, **overrides)
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-    except ScenarioError as exc:
+    except (ScenarioError, UnicodeDecodeError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
     return None
 

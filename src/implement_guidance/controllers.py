@@ -180,18 +180,16 @@ def _steer_from_gamma(gamma: float, curvature: float, theta_tilde: float,
 
 def optimal_control_step(meas: Measurements, params: OptimalParams,
                          imp: ImplementConfig, cfg: VehicleConfig,
-                         sigma: SigmaTerms | None = None) -> ControlCommand:
+                         sigma: SigmaTerms) -> ControlCommand:
     """Two-stage optimal predictive step: closed-form desired heading, then steering.
 
-    sigma is sigma_terms(params), a pure function of the parameters: callers
-    that step repeatedly pass it in; without it, it is computed here.
+    sigma is sigma_terms(params), a pure function of the parameters, which
+    the caller computes once.
     """
     alpha, gamma = alpha_gamma(meas, cfg.speed)
     th = meas.frenet.theta_tilde
     steer_now = _steer_from_gamma(gamma, meas.curvature_now, th, alpha, cfg.wheelbase)
     e2 = e_I_second(th, alpha, steer_now, meas.curvature_at_horizon, cfg.wheelbase)
-    if sigma is None:
-        sigma = sigma_terms(params)
     xi_d = xi_optimal(meas.e_I, alpha, gamma, imp, e2, sigma)
     theta_d = desired_heading(xi_d, alpha, gamma, imp)
     delta, clamped = steering_command(th, theta_d, meas.curvature_now, meas.frenet.y,

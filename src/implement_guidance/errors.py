@@ -9,7 +9,13 @@ class GuidanceError(Exception):
 
 
 class PathConstructionError(GuidanceError):
-    """A path descriptor list violates a segment or continuity invariant."""
+    """A path descriptor list violates a segment or continuity invariant.
+    `segment` is the index of the segment (or descriptor) the error blames,
+    or None."""
+
+    def __init__(self, message: str, segment: int | None = None):
+        super().__init__(message)
+        self.segment = segment
 
 
 class RangeError(GuidanceError):

@@ -35,6 +35,10 @@ CSV_HEADER = ("t_s,s_m,y_m,theta_tilde_rad,e_I_exact_m,e_I_measured_m,"
               "delta_cmd_rad,delta_actual_rad,theta_d_rad,segment,fault")
 # standard normals a noisy run draws from its generator at a time
 NOISE_BLOCK = 1024
+# a summary leaves out the first SKIP_S m of a run, its initial convergence;
+# a junction's window reaches WINDOW_PAD m past the controller's horizon
+SKIP_S = 5.0
+WINDOW_PAD = 3.0
 
 
 @dataclass(frozen=True)
@@ -308,20 +312,21 @@ def _median(xs: list[float]) -> float:
     return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
 
 
-def summarize(log: RunLog, junctions: tuple[float, ...] = (), horizon: float = 0.0,
-              skip_s: float = 5.0, window_pad: float = 3.0) -> dict:
-    """Statistics over |e_I_exact|, excluding the initial convergence window,
-    as the dict that summary.json holds.
+def summarize(log: RunLog, junctions: tuple[float, ...] = (),
+              window: float = WINDOW_PAD) -> dict:
+    """Statistics over |e_I_exact|, excluding the records within SKIP_S of
+    the first abscissa (the whole log when that leaves none), as the dict
+    that summary.json holds.
 
     Quantiles use linear interpolation between order statistics. The junction
-    overshoot is the max |e_I| within +/- (horizon + window_pad) of each
-    curvature discontinuity.
+    overshoot is the max |e_I| within +/- window of each curvature
+    discontinuity.
     """
     if not log.segments:
         raise ParameterError("cannot summarize an empty log")
     s = log.column("s")
     e = list(map(abs, log.column("e_I_exact")))
-    start = s[0] + skip_s
+    start = s[0] + SKIP_S
     sample = sorted(list(compress(e, [x >= start for x in s])) or e)
     per_segment = {}
     i = 0
@@ -335,12 +340,11 @@ def summarize(log: RunLog, junctions: tuple[float, ...] = (), horizon: float = 0
         # records sorted by s
         order = sorted(range(len(s)), key=s.__getitem__)
         by_s = [s[k] for k in order]
-        half = horizon + window_pad
         for sj in junctions:
             # s - sj rounds monotonically in s, so the records that pass the
-            # window test abs(s - sj) <= half are one run of by_s
-            lo = bisect_left(by_s, True, key=lambda x: x - sj >= -half)
-            hi = bisect_left(by_s, True, key=lambda x: x - sj > half)
+            # window test abs(s - sj) <= window are one run of by_s
+            lo = bisect_left(by_s, True, key=lambda x: x - sj >= -window)
+            hi = bisect_left(by_s, True, key=lambda x: x - sj > window)
             if lo < hi:
                 overshoot[f"{sj:.6g}"] = max([e[k] for k in order[lo:hi]])
     return {
@@ -359,7 +363,7 @@ def summarize(log: RunLog, junctions: tuple[float, ...] = (), horizon: float = 0
 def run_and_summarize(scn: Scenario) -> tuple[RunLog, dict]:
     log = run_scenario(scn)
     horizon = scn.params.s_h if isinstance(scn.params, OptimalParams) else 0.0
-    return log, summarize(log, junctions=scn.path.junctions(), horizon=horizon)
+    return log, summarize(log, scn.path.junctions(), horizon + WINDOW_PAD)
 
 
 def sweep_horizon(base: Scenario, rows: list[OptimalParams] | None = None

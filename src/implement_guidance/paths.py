@@ -65,6 +65,8 @@ class PathSegment:
             raise PathConstructionError("line segment must have curvature 0")
         if self.kind == "arc" and self.curvature == 0.0:
             raise PathConstructionError("arc segment must have nonzero curvature")
+        if not math.isfinite(self.curvature * self.length):
+            raise PathConstructionError("segment turn curvature * length must be finite")
         x0, y0 = self.start
         c = self.curvature
         cos_h, sin_h = math.cos(self.start_heading), math.sin(self.start_heading)
@@ -75,6 +77,9 @@ class PathSegment:
                            None if c == 0.0 else (x0 - sin_h / c, y0 + cos_h / c))
         object.__setattr__(self, "_period", math.inf if c == 0.0 else _TWO_PI / abs(c))
         object.__setattr__(self, "_end", self.point_at(self.length))
+        # an arc's radius 1/c can overflow where c is finite
+        if not all(map(math.isfinite, (*(self._center or ()), *self._end))):
+            raise PathConstructionError("segment center and end pose must be finite")
 
     def point_at(self, u: float) -> tuple[float, float, float]:
         """Exact (x, y, heading) at arc length u from the segment start."""
@@ -131,7 +136,7 @@ class ReferencePath:
                 ex, ey, eh = prev_end
                 sx, sy = seg.start
                 if math.hypot(sx - ex, sy - ey) > _G1_TOL or abs(wrap_angle(seg.start_heading - eh)) > _G1_TOL:
-                    raise PathConstructionError(f"G1 discontinuity at junction {i}")
+                    raise PathConstructionError(f"G1 discontinuity at junction {i}", i)
             prev_end = seg.end_pose()
             total += seg.length
             cum.append(total)
@@ -208,10 +213,10 @@ class ReferencePath:
         A hint thus keeps s on its row where another row, or another turn of
         the path, is nearer.
 
-        k is projected once. Where the foot's abscissa s stays on k, k's point
-        at s is the result, and its distance is what the neighbours' bounds
-        are held to; where s leaves k or a bound passes, k's foot joins the
-        window as its candidate.
+        k is projected first, and its distance is what the neighbours' bounds
+        are held to. Where the foot's abscissa s stays on k and no bound
+        passes, k's point at s is the result; otherwise k's candidate joins
+        the window, and the result is the point at s on the segment holding s.
         """
         px, py = position
         cum = self.cumulative_lengths
@@ -228,10 +233,9 @@ class ReferencePath:
             # cumulative start + u: the same float as a running sum of lengths
             s_best = s0 + u
             s = total if total < s_best else s_best  # min(s_best, total)
-            u_s = s - s0
             on_k = s0 <= s < cum[k]
             # on k, the point at s as `point_at(s)` finds it; else k's foot
-            qx, qy, th = seg.point_at(u_s if on_k else u)
+            qx, qy, th = seg.point_at(s - s0 if on_k else u)
             cut = math.hypot(px - qx, py - qy) + _PRUNE_SLACK
             # of k's neighbours, those whose bound passes can win or tie
             bounds = self._bounds
@@ -247,20 +251,13 @@ class ReferencePath:
             if on_k and not (before or after):
                 win, i, ambiguous = None, k, False
             else:
-                # k's foot, unless the point at s is `point_at` of the same
-                # float already (the tail's test below)
-                if on_k and not (u_s == u and (u_s or math.copysign(1.0, u_s)
-                                               == math.copysign(1.0, u))):
-                    qx, qy, th = seg.point_at(u)
-                # k's candidate, as `_candidate` would give it
-                hinted = (math.hypot(px - qx, py - qy), s_best, clamp_best, k, u, (qx, qy, th))
                 win, ambiguous = self._window(
-                    [cand for cand in (before, hinted, after) if cand],
+                    [cand for cand in (before, self._candidate(k, px, py), after) if cand],
                     0 if 0 > k - 1 else k - 1,  # max(k - 1, 0)
                     last if last < k + 1 else k + 1,  # min(k + 1, last)
                     px, py)
         if win is not None:
-            _, s_best, clamp_best, i_best, u_best, (qx, qy, th) = win
+            s_best, clamp_best = win[1], win[2]
             # the point at s as `point_at(s)` finds it, less the range check: s_best >= 0
             s = total if total < s_best else s_best  # min(s_best, total)
             # the segment holding s, as `segment_index` finds it (not the
@@ -268,13 +265,7 @@ class ReferencePath:
             # cumulative lengths)
             i = bisect_right(cum, s)
             i = last if last < i else i  # min(i, last)
-            s0 = cum[i - 1] if i > 0 else 0.0
-            u_s = s - s0
-            # the winner's own point when it is `point_at` of the same float (a
-            # signed zero compares equal to the other, so a zero's sign is checked)
-            if not (i == i_best and u_s == u_best
-                    and (u_s or math.copysign(1.0, u_s) == math.copysign(1.0, u_best))):
-                qx, qy, th = self.segments[i].point_at(u_s)
+            qx, qy, th = self.segments[i].point_at(s - (cum[i - 1] if i > 0 else 0.0))
         # interior endpoint hits are junction duplicates, not clamping
         clamped = clamp_best and (s_best <= 1e-12 or s_best >= total - 1e-12)
         y_signed = (px - qx) * -math.sin(th) + (py - qy) * math.cos(th)
@@ -303,14 +294,14 @@ class ReferencePath:
                 return win, ambiguous
 
     def _candidate(self, i: int, px: float, py: float):
-        """(distance, s, clamped, i, u, point) of the closest point on segment
-        i, at arc length u on it; point is `point_at(u)`, (x, y, heading)."""
+        """(distance, s, clamped, i, u) of the closest point on segment i, at
+        arc length u on it."""
         seg = self.segments[i]
         u, clamped = _project_segment(seg, px, py)
-        point = seg.point_at(u)
+        x, y, _ = seg.point_at(u)
         # cumulative start + u: the same float as a running sum of lengths
         s0 = self.cumulative_lengths[i - 1] if i > 0 else 0.0
-        return math.hypot(px - point[0], py - point[1]), s0 + u, clamped, i, u, point
+        return math.hypot(px - x, py - y), s0 + u, clamped, i, u
 
 
 def _nearest(candidates):
@@ -318,8 +309,6 @@ def _nearest(candidates):
     the least distance (the first in list order on a tie), and whether
     another of those lies more than 1e-6 m from it in s. When no distance
     compares (a NaN position), the first candidate, not ambiguous."""
-    if len(candidates) == 1:
-        return candidates[0], False
     d_best = candidates[0][0]
     for cand in candidates:
         if cand[0] < d_best:
@@ -377,25 +366,18 @@ def build_path(
     start: tuple[float, float] = (0.0, 0.0),
     start_heading: float = 0.0,
 ) -> ReferencePath:
-    """Chain segment descriptors {kind, length_m, curvature_per_m} into a path.
-
-    Segments are chained pose-continuously from the initial pose; a descriptor
-    may pin its own start pose (x_m, y_m, heading_rad), which must match the
-    chained pose within 1e-9 or construction fails naming the junction.
-    """
+    """Chain segment descriptors {kind, length_m, curvature_per_m} into a path,
+    each segment starting at the end pose of the one before, the first at the
+    initial pose. A segment's error carries its descriptor's index."""
     segs = []
     x, y, h = start[0], start[1], start_heading
     for i, d in enumerate(descriptors):
-        kind = d["kind"]
-        length = float(d["length_m"])
-        curv = float(d.get("curvature_per_m", 0.0))
-        if "x_m" in d or "y_m" in d or "heading_rad" in d:
-            px, py = float(d.get("x_m", x)), float(d.get("y_m", y))
-            ph = float(d.get("heading_rad", h))
-            if segs and (math.hypot(px - x, py - y) > _G1_TOL or abs(wrap_angle(ph - h)) > _G1_TOL):
-                raise PathConstructionError(f"G1 discontinuity at junction {i}")
-            x, y, h = px, py, ph
-        seg = PathSegment(kind=kind, start=(x, y), start_heading=h, length=length, curvature=curv)
+        try:
+            seg = PathSegment(kind=d["kind"], start=(x, y), start_heading=h,
+                              length=float(d["length_m"]),
+                              curvature=float(d.get("curvature_per_m", 0.0)))
+        except PathConstructionError as exc:
+            raise PathConstructionError(str(exc), i) from None
         segs.append(seg)
         x, y, h = seg.end_pose()
     return ReferencePath(segments=tuple(segs))
@@ -423,13 +405,10 @@ PRESET_DESCRIPTORS = {
 }
 
 
-def build_experiment_path(preset_or_descriptors, start=(0.0, 0.0), start_heading=0.0) -> ReferencePath:
-    """Build a preset path by name ("exp1", "exp2") or from explicit descriptors."""
-    if isinstance(preset_or_descriptors, str):
-        try:
-            descriptors = PRESET_DESCRIPTORS[preset_or_descriptors]
-        except KeyError:
-            raise PathConstructionError(f"unknown path preset {preset_or_descriptors!r}") from None
-    else:
-        descriptors = preset_or_descriptors
-    return build_path(descriptors, start=start, start_heading=start_heading)
+def build_experiment_path(name: str) -> ReferencePath:
+    """Build a preset path by name ("exp1", "exp2")."""
+    try:
+        descriptors = PRESET_DESCRIPTORS[name]
+    except KeyError:
+        raise PathConstructionError(f"unknown path preset {name!r}") from None
+    return build_path(descriptors)

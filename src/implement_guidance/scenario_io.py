@@ -13,7 +13,7 @@ import math
 from dataclasses import replace
 
 from .controllers import OptimalParams
-from .errors import GuidanceError, ParameterError, ScenarioError
+from .errors import ParameterError, PathConstructionError, ScenarioError
 from .harness import NoiseSpec, Scenario, initial_lateral_for_error
 from .paths import PRESET_DESCRIPTORS, build_path
 from .presets import REAR_IMPLEMENT, TABLE1, TABLE2
@@ -181,6 +181,8 @@ def _parse_segment(spec: _Value) -> dict:
         k, _, v = item.partition("=")
         if k not in _SEGMENT_KEYS:
             raise ScenarioError(f"line {spec.line}: segment: unknown field {k!r}")
+        if k in desc:
+            raise ScenarioError(f"line {spec.line}: segment: duplicate field {k!r}")
         desc[k] = v if k == "kind" else _float(v, f"segment field {k!r}", spec.line)
     if "kind" not in desc or "length_m" not in desc:
         raise ScenarioError(f"line {spec.line}: segment needs kind and length_m")
@@ -201,8 +203,10 @@ def _build_path(d: dict):
         raise ScenarioError("[path] needs a preset or segment lines")
     try:
         return build_path(descriptors, start=start, start_heading=heading)
-    except GuidanceError as exc:
-        raise ScenarioError(f"[path]: {exc}") from exc
+    except PathConstructionError as exc:
+        if "preset" in d or exc.segment is None:
+            raise ScenarioError(f"[path]: {exc}") from exc
+        raise ScenarioError(f"line {d['segment'][exc.segment].line}: segment: {exc}") from exc
 
 
 _CONTROLLER_PRESETS = {}

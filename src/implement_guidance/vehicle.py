@@ -86,14 +86,10 @@ def implement_error_measured(frenet: FrenetState, imp: ImplementConfig) -> float
     return frenet.y + imp.I_s * math.sin(frenet.theta_tilde) + imp.I_y * math.cos(frenet.theta_tilde)
 
 
-def yaw_rate_from_steer(steer: float, frenet: FrenetState, path: ReferencePath,
+def yaw_rate_from_steer(steer: float, frenet: FrenetState, c: float,
                         cfg: VehicleConfig) -> float:
-    """Yaw rate implied by the measured steering angle and the curvilinear model."""
-    return _yaw_rate(steer, frenet, path.curvature_at(frenet.s), cfg)
-
-
-def _yaw_rate(steer: float, frenet: FrenetState, c: float, cfg: VehicleConfig) -> float:
-    """`yaw_rate_from_steer` with the path curvature c = c(s) already looked up."""
+    """Yaw rate implied by the measured steering angle and the curvilinear
+    model, at the path curvature c = c(s)."""
     denom = 1.0 - c * frenet.y
     if abs(denom) < SINGULARITY_EPS:
         raise SingularityError(f"1 - c*y = {denom} at s={frenet.s}")
@@ -107,7 +103,7 @@ def measure(pose: VehiclePose, proj: Projection, path: ReferencePath,
     projection; c(s) is read from the segment it carries."""
     frenet = proj.frenet
     c = path.segments[proj.segment].curvature
-    return _new_tuple(Measurements, (frenet, _yaw_rate(pose.steer, frenet, c, cfg),
+    return _new_tuple(Measurements, (frenet, yaw_rate_from_steer(pose.steer, frenet, c, cfg),
                                      implement_error_measured(frenet, imp), c,
                                      path.curvature_ahead(frenet.s, horizon)))
 

@@ -298,7 +298,8 @@ def test_criterion_6_model_consistency():
                          e_I=implement_error_measured(f0, imp0),
                          curvature_now=0.0, curvature_at_horizon=0.0)
     cmds = [
-        optimal_control_step(meas0, TABLE1[("optimal", "rear")][1], imp0, CFG),
+        optimal_control_step(meas0, TABLE1[("optimal", "rear")][1], imp0, CFG,
+                             sigma_terms(TABLE1[("optimal", "rear")][1])),
         backstepping_control_step(meas0, BaselineParams(0.2, 0.6), imp0, CFG),
         lateral_servoing_control_step(meas0, BaselineParams(0.1, 0.8), imp0, CFG),
     ]

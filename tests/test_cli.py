@@ -78,6 +78,14 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.scn"
+    p.write_bytes(b"format_version 1\n[path]\npreset exp1 \xff\n")
+    for command in (["validate", str(p)], ["--out-dir", str(tmp_path / "o"), "run", str(p)]):
+        assert main(command) == 2
+        assert "scenario error: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
 def test_run_outputs_and_determinism(scn_file, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["--out-dir", str(out1), "run", scn_file]) == 0
@@ -221,13 +229,29 @@ def test_shipped_scenarios_validate(tmp_path, capsys):
     ("[path]\npreset exp1\n[noise]\nenabled yes\n", 5),
     ("[path]\nsegment kind=line length_m=20\n[implement]\nI_y_m -1e308\n"
      "[run]\ninitial_e_I_m 1e308\n", 7),
+    ("[path]\nsegment kind=line length_m=20\nsegment kind=line length_m=5 length_m=7\n", 4),
+    ("[path]\nsegment kind=line length_m=20\nsegment kind=spline length_m=5\n", 4),
+    ("[path]\nsegment kind=line length_m=20\nsegment kind=line length_m=0\n", 4),
+    ("[path]\nsegment kind=line length_m=20\nsegment kind=arc length_m=5 curvature_per_m=0\n",
+     4),
+    ("[path]\nsegment kind=line length_m=20\n"
+     "segment kind=line length_m=5 curvature_per_m=0.1\n", 4),
+    ("[path]\nsegment kind=line length_m=20\n"
+     "segment kind=arc length_m=5 curvature_per_m=1e-320\n", 4),
+    ("[path]\nsegment kind=line length_m=20\n"
+     "segment kind=arc length_m=5 curvature_per_m=1e-320\nsegment kind=line length_m=20\n", 4),
+    ("[path]\nsegment kind=line length_m=20\n"
+     "segment kind=arc length_m=1e300 curvature_per_m=1e10\n", 4),
 ], ids=["segment_not_a_number", "segment_infinite", "dt_zero", "run_length_nan",
         "seed_not_integer", "initial_s_beyond_path", "initial_s_beyond_run_length",
         "noise_std_negative", "horizon_samples_beyond_limit", "plant_steps_beyond_limit",
         "steer_limit_beyond_pi_2", "control_period_not_a_multiple_of_dt", "lambda_zero",
         "s_t_above_s_h", "I_y_beyond_min_arc_radius", "plant_step_budget_not_finite",
         "unknown_controller_preset", "unknown_path_preset", "unknown_method",
-        "noise_enabled_not_boolean", "initial_y_from_initial_e_not_finite"])
+        "noise_enabled_not_boolean", "initial_y_from_initial_e_not_finite",
+        "segment_field_repeated", "segment_kind_unknown", "segment_length_zero",
+        "arc_curvature_zero", "line_curvature_nonzero", "last_arc_radius_overflows",
+        "middle_arc_radius_overflows", "arc_turn_overflows"])
 def test_bad_value_exits_2_with_line(tmp_path, capsys, body, line):
     p = tmp_path / "bad.scn"
     p.write_text("format_version 1\n" + body)

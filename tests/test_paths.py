@@ -270,12 +270,24 @@ def test_segment_invariants():
         PathSegment(kind="arc", start=(0, 0), start_heading=0, length=1, curvature=0.0)
 
 
+@pytest.mark.parametrize("index", [0, 1])
+def test_build_path_blames_the_segment_whose_radius_overflows(index):
+    # 1/c overflows: the arc's center and end pose are not finite, though c is
+    descriptors = [{"kind": "line", "length_m": 20.0}] * 2
+    descriptors.insert(index, {"kind": "arc", "length_m": 5.0, "curvature_per_m": 1e-320})
+    with pytest.raises(PathConstructionError, match="must be finite") as info:
+        build_path(descriptors)
+    assert info.value.segment == index
+
+
 def test_build_path_g1_error_names_junction():
     with pytest.raises(PathConstructionError, match="junction 1"):
-        build_path([
-            {"kind": "line", "length_m": 5.0},
-            {"kind": "line", "length_m": 5.0, "x_m": 6.0, "y_m": 0.0},
-        ])
+        ReferencePath(segments=(
+            PathSegment(kind="line", start=(0.0, 0.0), start_heading=0.0, length=5.0,
+                        curvature=0.0),
+            PathSegment(kind="line", start=(6.0, 0.0), start_heading=0.0, length=5.0,
+                        curvature=0.0),
+        ))
 
 
 def test_empty_path_rejected():
@@ -444,12 +456,9 @@ def test_project_equals_full_scan_at_junctions_and_ends():
 def test_project_tail_reuses_the_winning_point_only_when_exact(monkeypatch):
     # a hinted call whose foot stays on its hint's segment k projects k once
     # and evaluates one point, at u = s - s0: that point is the result. Every
-    # other call takes the tail, which reuses the winner's point_at(u) when
-    # its own bisect names the same segment and the same u; a foot exactly at
-    # a junction or a path end (u = 0, u = length, clamped) is where it must
-    # call point_at instead. Before the window, a hinted call evaluates k's
-    # point once, and a second time only for k's foot u where s - s0 is
-    # another float
+    # other call takes the tail, which evaluates its result point once, on
+    # the segment its own bisect names; a hinted call there has also
+    # evaluated k's point in place and one point per candidate, k's included
     calls = []
     point_at, candidate = PathSegment.point_at, ReferencePath._candidate
     project_segment = paths._project_segment
@@ -462,7 +471,7 @@ def test_project_tail_reuses_the_winning_point_only_when_exact(monkeypatch):
                         lambda seg, *a: calls.append(("segment", seg)) or project_segment(seg, *a))
     monkeypatch.setattr(ReferencePath, "_window",
                         lambda path, *a: calls.append(("window",)) or window(path, *a))
-    tails, stayed, reused = set(), 0, 0
+    tails, stayed = set(), 0
     for path in PROJECTION_PATHS:
         cum = path.cumulative_lengths
         for s in (0.0, *cum):
@@ -487,22 +496,12 @@ def test_project_tail_reuses_the_winning_point_only_when_exact(monkeypatch):
                             stayed += 1
                             assert calls == [("segment", seg), ("point", seg, p.frenet.s - s0)]
                             continue
-                        # k is projected once, beside each candidate
-                        assert calls.count(("segment", seg)) == 1
-                        u, _ = project_segment(seg, px, py)
-                        s_k = min(s0 + u, path.total_length)
-                        u_s = s_k - s0
-                        before_window = calls[:calls.index(("window",))]
-                        k_points = [call for call in before_window
-                                    if call[0] == "point" and call[1] is seg]
-                        if s0 <= s_k < cum[k] and u_s.hex() != u.hex():
-                            assert k_points == [("point", seg, u_s), ("point", seg, u)]
-                        else:
-                            reused += s0 <= s_k < cum[k]
-                            assert len(k_points) == 1
-    assert tails == {0, 1}
+                        # k is projected in place and again as its candidate
+                        assert calls.count(("segment", seg)) == 2
+                        assert ("window",) in calls
+                        assert len(points) == candidates + 2
+    assert tails == {1}
     assert stayed > 100
-    assert reused > 10
 
 
 @pytest.mark.parametrize("path", [build_experiment_path("exp1"),

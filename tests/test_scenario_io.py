@@ -122,6 +122,12 @@ def test_bad_segment_field():
         parse_scenario("format_version 1\n[path]\nsegment kind=line span_m=5\n")
 
 
+def test_repeated_segment_field_rejected():
+    with pytest.raises(ScenarioError,
+                       match="^line 3: segment: duplicate field 'length_m'$"):
+        parse_scenario("format_version 1\n[path]\nsegment kind=line length_m=5 length_m=7\n")
+
+
 def test_segment_requires_kind_and_length():
     with pytest.raises(ScenarioError, match="kind and length_m"):
         parse_scenario("format_version 1\n[path]\nsegment kind=line\n")

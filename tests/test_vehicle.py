@@ -147,18 +147,20 @@ def test_arc_floor_of_the_measured_error(imp):
 def test_yaw_rate_from_steer():
     path = straight()
     f = FrenetState(5.0, 0.0, 0.0)
-    assert yaw_rate_from_steer(0.0, f, path, CFG) == 0.0
-    assert abs(yaw_rate_from_steer(0.2, f, path, CFG) - math.tan(0.2) / 1.2) < 1e-12
+    assert yaw_rate_from_steer(0.0, f, path.curvature_at(f.s), CFG) == 0.0
+    assert abs(yaw_rate_from_steer(0.2, f, path.curvature_at(f.s), CFG)
+               - math.tan(0.2) / 1.2) < 1e-12
     R = 10.0
     arc = build_path([{"kind": "arc", "length_m": R * math.pi, "curvature_per_m": 1.0 / R}])
     delta = math.atan(CFG.wheelbase / R)
-    assert abs(yaw_rate_from_steer(delta, FrenetState(5.0, 0.0, 0.0), arc, CFG)) < 1e-12
+    assert abs(yaw_rate_from_steer(delta, FrenetState(5.0, 0.0, 0.0), arc.curvature_at(5.0),
+                                   CFG)) < 1e-12
 
 
 def test_yaw_rate_singularity_guard():
     arc = build_path([{"kind": "arc", "length_m": 3.0, "curvature_per_m": 1.0}])
     with pytest.raises(SingularityError):
-        yaw_rate_from_steer(0.0, FrenetState(1.0, 1.0, 0.0), arc, CFG)
+        yaw_rate_from_steer(0.0, FrenetState(1.0, 1.0, 0.0), arc.curvature_at(1.0), CFG)
 
 
 # -------------------------------------------------------------------- step()
