@@ -20,6 +20,9 @@ from .errors import DomainError, ParameterError, SingularityError, require_posit
 from .paths import _new_tuple
 from .vehicle import SINGULARITY_EPS, ImplementConfig, Measurements, VehicleConfig
 
+# The controller sums over n_h horizon samples per step. The shipped
+# scenarios, presets and benchmark workloads need at most n_h = 70.
+MAX_N_H = 10_000
 
 @dataclass(frozen=True)
 class OptimalParams:
@@ -37,7 +40,11 @@ class OptimalParams:
         if not math.isfinite(self.s_h / self.s_t):
             raise ParameterError("s_h / s_t must be finite", "s_h", "s_t")
         # s_t <= s_h makes n_h at least 1
-        object.__setattr__(self, "n_h", round(self.s_h / self.s_t))
+        n_h = round(self.s_h / self.s_t)
+        if n_h > MAX_N_H:
+            raise ParameterError(f"the horizon has n_h = {n_h} samples, "
+                                 f"above the limit {MAX_N_H}", "s_h", "s_t")
+        object.__setattr__(self, "n_h", n_h)
 
 
 @dataclass(frozen=True)
@@ -236,9 +243,8 @@ class Controller:
     horizon is the preview distance ahead of the robot's abscissa, m.
     """
 
-    def __init__(self, method: str, compute: Callable[[Measurements], ControlCommand],
+    def __init__(self, compute: Callable[[Measurements], ControlCommand],
                  horizon: float = 0.0):
-        self.method = method
         self.horizon = horizon
         self.fault: str | None = None
         self._compute = compute
@@ -264,8 +270,7 @@ def OptimalController(params: OptimalParams, imp: ImplementConfig,
     sigma = sigma_terms(params)
     # The horizon starts at the leading point of the robot-implement pair:
     # a front implement crosses a junction I_s before the robot does.
-    return Controller("optimal",
-                      lambda meas: optimal_control_step(meas, params, imp, cfg, sigma),
+    return Controller(lambda meas: optimal_control_step(meas, params, imp, cfg, sigma),
                       horizon=params.s_h + max(imp.I_s, 0.0))
 
 
@@ -278,7 +283,7 @@ def BacksteppingController(params: BaselineParams, imp: ImplementConfig,
     tuning and destabilizes the cascade. The term vanishes at every steady
     state anyway, so the e_I' = -k_y e_I design target is preserved there.
     """
-    return Controller("backstepping", lambda meas: backstepping_control_step(
+    return Controller(lambda meas: backstepping_control_step(
         _new_tuple(Measurements, (meas.frenet, 0.0, meas.e_I, meas.curvature_now,
                                   meas.curvature_at_horizon)),
         params, imp, cfg))
@@ -286,8 +291,7 @@ def BacksteppingController(params: BaselineParams, imp: ImplementConfig,
 
 def LateralServoingController(params: BaselineParams, imp: ImplementConfig,
                               cfg: VehicleConfig) -> Controller:
-    return Controller("lateral_servoing",
-                      lambda meas: lateral_servoing_control_step(meas, params, imp, cfg))
+    return Controller(lambda meas: lateral_servoing_control_step(meas, params, imp, cfg))
 
 
 # method name -> constructor(params, implement, vehicle config)

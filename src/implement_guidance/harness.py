@@ -39,6 +39,9 @@ NOISE_BLOCK = 1024
 # a junction's window reaches WINDOW_PAD m past the controller's horizon
 SKIP_S = 5.0
 WINDOW_PAD = 3.0
+# the bound of Scenario.max_steps, and so of run_scenario's loop; the shipped
+# scenarios, presets and benchmark workloads need under 4e5 plant steps
+MAX_PLANT_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,9 @@ class Scenario:
         for name in ("initial_y", "initial_theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}", name)
+        if type(self.seed) is not int or self.seed < 0:  # True and 1.0 are no seeds
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}",
+                                 "seed")
         require_positive(self, ("dt", "control_period"))
         ratio = self.control_period / self.dt
         if (self.control_period < self.dt or not math.isfinite(ratio)
@@ -111,7 +117,13 @@ class Scenario:
         if not math.isfinite(steps + ratio):
             raise ParameterError("speed * dt is too small: the plant-step budget is not finite",
                                  "speed", "dt")
-        object.__setattr__(self, "max_steps", int(steps) + round(ratio))
+        max_steps = int(steps) + round(ratio)
+        if max_steps > MAX_PLANT_STEPS:
+            raise ParameterError(f"the run may take {max_steps:.3g} plant steps "
+                                 f"(its budget, Scenario.max_steps), "
+                                 f"above the limit {MAX_PLANT_STEPS}",
+                                 "speed", "dt", "run_length", "control_period")
+        object.__setattr__(self, "max_steps", max_steps)
 
     def make_controller(self) -> Controller:
         return CONTROLLERS[self.method](self.params, self.implement, self.vehicle)

@@ -21,13 +21,6 @@ from .vehicle import VehicleConfig
 
 FORMAT_VERSION = 1
 
-# Cost limits on a scenario that parses. The controller sums over n_h = s_h / s_t
-# horizon samples, and a run takes at most Scenario.max_steps plant steps. The
-# shipped scenarios, presets and benchmark workloads need at most n_h = 70 and
-# under 4e5 plant steps.
-MAX_N_H = 10_000
-MAX_PLANT_STEPS = 10_000_000
-
 # file key -> config field, per block; a key the file leaves out keeps the
 # field's default
 _VEHICLE_KEYS = {"wheelbase_m": "wheelbase", "steer_limit_rad": "steer_limit",
@@ -75,9 +68,10 @@ class _Value(str):
 
 
 def parse_blocks(text: str) -> dict:
-    """Split the document into blocks of (key, value) pairs; validates keys."""
-    blocks: dict[str, list[tuple[str, str]]] = {}
-    current = None
+    """Split the document into blocks, each a map of key -> value, with a
+    block's `segment` lines as one list; rejects unknown and repeated keys."""
+    blocks: dict[str, dict] = {}
+    current = block = None
     version_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -87,7 +81,7 @@ def parse_blocks(text: str) -> dict:
             current = line[1:-1].strip()
             if current not in _BLOCK_KEYS:
                 raise ScenarioError(f"line {lineno}: unknown block [{current}]")
-            blocks.setdefault(current, [])
+            block = blocks.setdefault(current, {})
             continue
         key, _, value = line.partition(" ")
         value = value.strip()
@@ -102,22 +96,15 @@ def parse_blocks(text: str) -> dict:
             raise ScenarioError(f"line {lineno}: unknown key {key!r} in block [{current}]")
         if not value:
             raise ScenarioError(f"line {lineno}: key {key!r} has no value")
-        blocks[current].append((key, _Value(value, lineno)))
+        if key == "segment":
+            block.setdefault(key, []).append(_Value(value, lineno))
+        elif key in block:
+            raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
+        else:
+            block[key] = _Value(value, lineno)
     if not version_seen:
         raise ScenarioError("missing format_version")
     return blocks
-
-
-def _scalars(pairs: list[tuple[str, str]]) -> dict:
-    out = {}
-    for k, v in pairs:
-        if k == "segment":
-            out.setdefault("segment", []).append(v)
-        else:
-            if k in out:
-                raise ScenarioError(f"line {v.line}: duplicate key {k!r}")
-            out[k] = v
-    return out
 
 
 def _float(text: str, what: str, line: int) -> float:
@@ -190,6 +177,9 @@ def _parse_segment(spec: _Value) -> dict:
 
 
 def _build_path(d: dict):
+    if "preset" in d and "segment" in d:
+        line = max(d["preset"].line, d["segment"][0].line)
+        raise ScenarioError(f"line {line}: [path] takes a preset or segment lines, not both")
     start = (_num(d, "start_x_m", 0.0), _num(d, "start_y_m", 0.0))
     heading = _num(d, "start_heading_rad", 0.0)
     if "preset" in d:
@@ -217,23 +207,16 @@ for _params in TABLE2:
         "optimal", REAR_IMPLEMENT, _params)
 
 
-def controller_preset(name: str):
-    """Resolve a named preset to (method, implement, params)."""
-    try:
-        return _CONTROLLER_PRESETS[name]
-    except KeyError:
-        raise ScenarioError(f"unknown controller preset {name!r}") from None
-
-
 def _build_controller(d: dict):
     """Returns (method, params, preset_implement_or_None)."""
     preset_imp = params_p = None
     method = d.get("method")
     if "preset" in d:
-        try:
-            method_p, preset_imp, params_p = controller_preset(d["preset"])
-        except ScenarioError as exc:
-            raise ScenarioError(f"line {d['preset'].line}: key 'preset': {exc}") from None
+        preset = d["preset"]
+        if preset not in _CONTROLLER_PRESETS:
+            raise ScenarioError(f"line {preset.line}: key 'preset': "
+                                f"unknown controller preset {preset!r}")
+        method_p, preset_imp, params_p = _CONTROLLER_PRESETS[preset]
         method = method or method_p
     if method is None:
         method = "optimal"
@@ -245,19 +228,14 @@ def _build_controller(d: dict):
     # a preset of the other kind of params lends the fields the two share
     lent = {name: getattr(params_p, name) for name in keys.values()
             if hasattr(params_p, name)}
-    params = replace(params, **{**lent, **_fields(d, keys)})
-    if isinstance(params, OptimalParams) and params.n_h > MAX_N_H:
-        raise ParameterError(f"the horizon has n_h = {params.n_h} samples, "
-                             f"above the limit {MAX_N_H}", "s_h", "s_t")
-    return method, params, preset_imp
+    return method, replace(params, **{**lent, **_fields(d, keys)}), preset_imp
 
 
 def parse_scenario(text: str, seed_override: int | None = None,
                    noise_override: bool | None = None) -> Scenario:
     blocks = parse_blocks(text)
-    path = _build_path(_scalars(blocks.get("path", [])) if "path" in blocks else
-                       {"preset": "exp1"})
-    v, c, i, r, n = (_scalars(blocks.get(name, []))
+    path = _build_path(blocks.get("path", {"preset": "exp1"}))
+    v, c, i, r, n = (blocks.get(name, {})
                      for name in ("vehicle", "controller", "implement", "run", "noise"))
     enabled = n.get("enabled", "false")
     if enabled not in ("true", "false"):
@@ -278,16 +256,10 @@ def parse_scenario(text: str, seed_override: int | None = None,
                                                          implement)
         noise = replace(NoiseSpec(), **_fields(n, _NOISE_KEYS),
                         enabled=(enabled == "true") if noise_override is None else noise_override)
-        scn = Scenario(path=path, vehicle=vehicle, implement=implement, method=method,
-                       params=params, seed=seed, noise=noise, **run)
-        if scn.max_steps > MAX_PLANT_STEPS:  # the bound of run_scenario's loop
-            raise ParameterError(f"the run may take {scn.max_steps:.3g} plant steps "
-                                 f"(its budget, Scenario.max_steps), "
-                                 f"above the limit {MAX_PLANT_STEPS}",
-                                 "speed", "dt", "run_length", "control_period")
+        return Scenario(path=path, vehicle=vehicle, implement=implement, method=method,
+                        params=params, seed=seed, noise=noise, **run)
     except ParameterError as exc:
         raise _at_line(exc, {**v, **c, **i, **r, **n}) from exc
-    return scn
 
 
 def resolved_config(scn: Scenario) -> dict:

@@ -18,10 +18,11 @@ def escape(text: str) -> str:
     return html.escape(text, quote=False)
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five round ticks over [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     t0 = math.ceil(lo / step) * step
@@ -77,22 +78,21 @@ class Panel:
                        f'text-anchor="middle" font-weight="bold">{escape(self.title)}</text>')
         return out
 
-    def polyline(self, xs, ys, color, width=1.5, dash=None):
+    def polyline(self, xs, ys, color, width=1.5):
         pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                             f'stroke-width="{width}"{dash_attr}/>')
+                             f'stroke-width="{width}"/>')
 
     def vline(self, xd, color="#999", dash="4,3"):
         xp = self.px(xd)
         self.elements.append(f'<line x1="{xp:.1f}" y1="{self.y}" x2="{xp:.1f}" '
                              f'y2="{self.y + self.h}" stroke="{color}" stroke-dasharray="{dash}"/>')
 
-    def band(self, xs, lo, hi, color, opacity=0.25):
+    def band(self, xs, lo, hi, color):
         fwd = [f"{self.px(x):.2f},{self.py(v):.2f}" for x, v in zip(xs, hi)]
         back = [f"{self.px(x):.2f},{self.py(v):.2f}" for x, v in zip(reversed(xs), reversed(lo))]
         self.elements.append(f'<polygon points="{" ".join(fwd + back)}" fill="{color}" '
-                             f'fill-opacity="{opacity}" stroke="none"/>')
+                             f'fill-opacity="0.25" stroke="none"/>')
 
     def box(self, xd, q25, med, q75, whisk_hi, color, half_width):
         xl, xr = self.px(xd - half_width), self.px(xd + half_width)
@@ -106,9 +106,10 @@ class Panel:
         self.elements.append(f'<line x1="{xc:.1f}" y1="{self.py(q75):.1f}" x2="{xc:.1f}" '
                              f'y2="{self.py(whisk_hi):.1f}" stroke="{color}"/>')
 
-    def text(self, xd, yd, s, color="#333", size=10):
+    def text(self, xd, yd, s):
+        """A note at (xd, yd), in the colour that marks the sweep's best horizon."""
         self.elements.append(f'<text x="{self.px(xd):.1f}" y="{self.py(yd):.1f}" '
-                             f'font-size="{size}" fill="{color}">{escape(s)}</text>')
+                             f'font-size="11" fill="{PALETTE[1]}">{escape(s)}</text>')
 
     def render(self):
         return self.frame() + self.elements
@@ -186,6 +187,5 @@ def sweep_figure(points: list[dict], command_line: str) -> str:
     panel.polyline(xs, med, PALETTE[0], width=2)
     best = min(points, key=lambda p: p["median_abs_e_m"])
     panel.vline(best["s_h_m"], color=PALETTE[1], dash="2,2")
-    panel.text(best["s_h_m"], hi * 0.95, f' argmin s_h = {best["s_h_m"]:g} m',
-               color=PALETTE[1], size=11)
+    panel.text(best["s_h_m"], hi * 0.95, f' argmin s_h = {best["s_h_m"]:g} m')
     return render_svg(660, 380, [panel], command_line)

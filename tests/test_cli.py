@@ -242,6 +242,7 @@ def test_shipped_scenarios_validate(tmp_path, capsys):
      "segment kind=arc length_m=5 curvature_per_m=1e-320\nsegment kind=line length_m=20\n", 4),
     ("[path]\nsegment kind=line length_m=20\n"
      "segment kind=arc length_m=1e300 curvature_per_m=1e10\n", 4),
+    ("[path]\npreset exp2\nsegment kind=line length_m=5\n", 4),
 ], ids=["segment_not_a_number", "segment_infinite", "dt_zero", "run_length_nan",
         "seed_not_integer", "initial_s_beyond_path", "initial_s_beyond_run_length",
         "noise_std_negative", "horizon_samples_beyond_limit", "plant_steps_beyond_limit",
@@ -251,7 +252,7 @@ def test_shipped_scenarios_validate(tmp_path, capsys):
         "noise_enabled_not_boolean", "initial_y_from_initial_e_not_finite",
         "segment_field_repeated", "segment_kind_unknown", "segment_length_zero",
         "arc_curvature_zero", "line_curvature_nonzero", "last_arc_radius_overflows",
-        "middle_arc_radius_overflows", "arc_turn_overflows"])
+        "middle_arc_radius_overflows", "arc_turn_overflows", "path_preset_and_segments"])
 def test_bad_value_exits_2_with_line(tmp_path, capsys, body, line):
     p = tmp_path / "bad.scn"
     p.write_text("format_version 1\n" + body)

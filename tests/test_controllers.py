@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from implement_guidance import controllers
 from implement_guidance.controllers import (
+    MAX_N_H,
     BacksteppingController,
     BaselineParams,
     Controller,
@@ -83,6 +84,19 @@ def test_optimal_params_validation():
     with pytest.raises(ParameterError):
         BaselineParams(k_y=0.0, k_theta=0.6)
     assert REAR_PARAMS.n_h == 13  # round(2.0 / 0.15)
+
+
+def test_optimal_params_cap_the_horizon_samples():
+    # built in code, as the presets are: unchecked, s_h / s_t = 1e9 passed and
+    # sigma_terms would loop 1e9 times
+    assert OptimalParams(lam=0.1, k_theta=0.6, s_h=1.0, s_t=1e-4).n_h == MAX_N_H
+    with pytest.raises(ParameterError, match=f"^the horizon has n_h = {MAX_N_H + 1} samples, "
+                                             f"above the limit {MAX_N_H}$") as exc:
+        OptimalParams(lam=0.1, k_theta=0.6, s_h=1.0001, s_t=1e-4)
+    assert exc.value.fields == ("s_h", "s_t")
+    with pytest.raises(ParameterError, match="n_h = 1000000000 samples") as exc:
+        OptimalParams(lam=0.1, k_theta=0.6, s_h=1e6, s_t=1e-3)
+    assert exc.value.fields == ("s_h", "s_t")
 
 
 def test_optimal_params_store_n_h_outside_init_compare_and_repr():
@@ -499,15 +513,14 @@ def test_backstepping_controller_ignores_measured_yaw_rate():
 
 # ------------------------------------------------------------- construction
 
-@pytest.mark.parametrize("make, params, method, horizon", [
-    (OptimalController, REAR_PARAMS, "optimal", REAR_PARAMS.s_h),
-    (BacksteppingController, BaselineParams(0.2, 0.6), "backstepping", 0.0),
-    (LateralServoingController, BaselineParams(0.1, 0.8), "lateral_servoing", 0.0),
+@pytest.mark.parametrize("make, params, horizon", [
+    (OptimalController, REAR_PARAMS, REAR_PARAMS.s_h),
+    (BacksteppingController, BaselineParams(0.2, 0.6), 0.0),
+    (LateralServoingController, BaselineParams(0.1, 0.8), 0.0),
 ])
-def test_constructors_return_the_one_controller_class(make, params, method, horizon):
+def test_constructors_return_the_one_controller_class(make, params, horizon):
     ctrl = make(params, REAR, CFG)
     assert type(ctrl) is Controller
-    assert ctrl.method == method
     assert ctrl.horizon == horizon
 
 

@@ -17,6 +17,7 @@ from implement_guidance.controllers import Controller
 from implement_guidance.errors import DomainError, ParameterError, SingularityError
 from implement_guidance.harness import (
     CSV_HEADER,
+    MAX_PLANT_STEPS,
     LogRecord,
     NoiseSpec,
     RunLog,
@@ -66,6 +67,37 @@ def test_scenario_validation():
             straight_scenario(initial_s=initial_s)
     with pytest.raises(ParameterError, match=r"initial_s must lie in \[0, 60\.0\]"):
         straight_scenario(initial_s=math.nan)
+
+
+def test_scenario_caps_the_plant_step_budget():
+    # built in code, as compare and sweep build theirs: unchecked, a 1e-6 s
+    # step took a budget of 1.65e8 plant steps
+    with pytest.raises(ParameterError, match=r"^the run may take 1\.65e\+08 plant steps "
+                                             r"\(its budget, Scenario\.max_steps\), above "
+                                             rf"the limit {MAX_PLANT_STEPS}$") as exc:
+        straight_scenario(dt=1e-6, control_period=1e-6)
+    assert exc.value.fields == ("speed", "dt", "run_length", "control_period")
+    # 3 * length / (speed * dt) + control_period / dt is 6 * length + 1 here
+    line = build_path([{"kind": "line", "length_m": 2e6}])
+    assert 6 * 1666666.5 + 1 == MAX_PLANT_STEPS
+    scn = straight_scenario(path=line, dt=0.5, control_period=0.5, run_length=1666666.5)
+    assert scn.max_steps == MAX_PLANT_STEPS
+    with pytest.raises(ParameterError, match="the run may take 1e\\+07 plant steps"):
+        straight_scenario(path=line, dt=0.5, control_period=0.5, run_length=1666666.75)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+def test_scenario_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    # unchecked, -1 raised numpy's ValueError from run_scenario, 1.5 a
+    # TypeError, and True ran as seed 1
+    with pytest.raises(ParameterError, match="^seed must be a non-negative integer, got ") as exc:
+        straight_scenario(seed=seed, noise=NoiseSpec(enabled=True))
+    assert exc.value.fields == ("seed",)
+
+
+def test_scenario_accepts_any_non_negative_int_seed():
+    for seed in (0, 1, 2**64 + 3):
+        assert straight_scenario(seed=seed).seed == seed
 
 
 @pytest.mark.parametrize("name, value", [

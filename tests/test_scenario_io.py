@@ -4,16 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from implement_guidance.controllers import BaselineParams, OptimalParams
+from implement_guidance.controllers import MAX_N_H, BaselineParams, OptimalParams
 from implement_guidance.errors import ScenarioError
-from implement_guidance.scenario_io import (
-    MAX_N_H,
-    MAX_PLANT_STEPS,
-    controller_preset,
-    parse_blocks,
-    parse_scenario,
-    resolved_config,
-)
+from implement_guidance.harness import MAX_PLANT_STEPS
+from implement_guidance.presets import TABLE1, TABLE2
+from implement_guidance.scenario_io import parse_blocks, parse_scenario, resolved_config
 
 FULL = """\
 # full scenario exercising every block
@@ -112,6 +107,19 @@ def test_duplicate_key_rejected():
         parse_scenario("format_version 1\n[vehicle]\nspeed_m_s 1\nspeed_m_s 2\n")
 
 
+def test_blocks_map_each_key_to_its_value_and_line():
+    blocks = parse_blocks("format_version 1\n[path]\nsegment kind=line length_m=5\n"
+                          "start_x_m 2\nsegment kind=line length_m=7\n[run]\nseed 3\n")
+    assert blocks == {"path": {"segment": ["kind=line length_m=5", "kind=line length_m=7"],
+                               "start_x_m": "2"},
+                      "run": {"seed": "3"}}
+    assert [v.line for v in blocks["path"]["segment"]] == [3, 5]
+    assert blocks["run"]["seed"].line == 7
+    # a repeated key is rejected where it is read, before a later unknown key
+    with pytest.raises(ScenarioError, match="^line 4: duplicate key 'speed_m_s'$"):
+        parse_blocks("format_version 1\n[vehicle]\nspeed_m_s 1\nspeed_m_s 2\nmass_kg 3\n")
+
+
 def test_bad_number_rejected():
     with pytest.raises(ScenarioError, match="not a number"):
         parse_scenario("format_version 1\n[vehicle]\nspeed_m_s fast\n")
@@ -126,6 +134,18 @@ def test_repeated_segment_field_rejected():
     with pytest.raises(ScenarioError,
                        match="^line 3: segment: duplicate field 'length_m'$"):
         parse_scenario("format_version 1\n[path]\nsegment kind=line length_m=5 length_m=7\n")
+
+
+@pytest.mark.parametrize("path, line", [
+    ("preset exp2\nsegment kind=line length_m=5\n", 4),
+    ("segment kind=line length_m=5\nsegment kind=line length_m=5\npreset exp2\n", 5),
+    ("segment kind=line length_m=5\npreset exp2\nsegment kind=line length_m=5\n", 4),
+])
+def test_path_takes_a_preset_or_segments_not_both(path, line):
+    # the line is the later key's: the first line at which the block holds both
+    with pytest.raises(ScenarioError, match=f"^line {line}: \\[path\\] takes a preset or "
+                                            "segment lines, not both$"):
+        parse_scenario(f"format_version 1\n[path]\n{path}")
 
 
 def test_segment_requires_kind_and_length():
@@ -185,17 +205,22 @@ def test_initial_y_derived_from_initial_e_names_its_line():
 # ------------------------------------------------------------------ presets
 
 def test_controller_presets():
-    method, imp, params = controller_preset("table1_rear_optimal")
-    assert method == "optimal"
-    assert (imp.I_s, imp.I_y) == (-2.0, -0.5)
-    assert (params.lam, params.k_theta, params.s_h, params.s_t) == (0.1, 0.6, 2.0, 0.15)
-    method, imp, params = controller_preset("table1_front_backstepping")
-    assert method == "backstepping" and imp.I_s == 2.0
-    assert isinstance(params, BaselineParams)
-    method, imp, params = controller_preset("table2_sh_2")
-    assert method == "optimal" and params.s_h == 2.0 and params.s_t == 0.10
-    with pytest.raises(ScenarioError, match="unknown controller preset"):
-        controller_preset("table3_magic")
+    def preset(name):
+        return parse_scenario(f"format_version 1\n[controller]\npreset {name}\n")
+
+    scn = preset("table1_rear_optimal")
+    assert scn.method == "optimal"
+    assert (scn.implement.I_s, scn.implement.I_y) == (-2.0, -0.5)
+    assert scn.params == OptimalParams(lam=0.1, k_theta=0.6, s_h=2.0, s_t=0.15)
+    scn = preset("table1_front_backstepping")
+    assert scn.method == "backstepping"
+    assert (scn.implement, scn.params) == TABLE1[("backstepping", "front")]
+    assert isinstance(scn.params, BaselineParams)
+    scn = preset("table2_sh_2")
+    assert scn.method == "optimal" and scn.params.s_h == 2.0 and scn.params.s_t == 0.10
+    assert scn.params in TABLE2
+    with pytest.raises(ScenarioError, match="line 3: key 'preset': unknown controller preset"):
+        preset("table3_magic")
 
 
 def test_preset_field_override():
