@@ -24,7 +24,7 @@ from .harness import (
 )
 from .paths import ReferencePath, build_experiment_path
 from .presets import TABLE1, TABLE2
-from .scenario_io import is_seed, parse_scenario, resolved_config
+from .scenario_io import SEED_RULE, is_seed, parse_scenario, resolved_config
 from .svgplot import comparison_figure, sweep_figure
 from .vehicle import VehicleConfig
 
@@ -171,7 +171,7 @@ def cmd_validate(args) -> int:
 
 def _non_negative_int(text: str) -> int:
     if not is_seed(text):
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{SEED_RULE}, got {text!r}")
     return int(text)
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import compress, groupby
-from typing import NamedTuple
 
 from .controllers import CONTROLLERS, BaselineParams, Controller, OptimalParams
 from .errors import ParameterError, SingularityError, require_positive
@@ -119,7 +118,7 @@ class Scenario:
                                  "speed", "dt")
         max_steps = int(steps) + round(ratio)
         if max_steps > MAX_PLANT_STEPS:
-            raise ParameterError(f"the run may take {max_steps:.3g} plant steps "
+            raise ParameterError(f"the run may take {max_steps} plant steps "
                                  f"(its budget, Scenario.max_steps), "
                                  f"above the limit {MAX_PLANT_STEPS}",
                                  "speed", "dt", "run_length", "control_period")
@@ -129,46 +128,31 @@ class Scenario:
         return CONTROLLERS[self.method](self.params, self.implement, self.vehicle)
 
 
-class LogRecord(NamedTuple):
-    t: float
-    s: float
-    y: float
-    theta_tilde: float
-    e_I_exact: float
-    e_I_measured: float
-    delta_cmd: float
-    delta_actual: float
-    theta_d: float
-    segment: str
-    fault: bool
-
-
 # a record's floats, in CSV order
-FLOAT_FIELDS = LogRecord._fields[:9]
+FLOAT_FIELDS = ("t", "s", "y", "theta_tilde", "e_I_exact", "e_I_measured", "delta_cmd",
+                "delta_actual", "theta_d")
 _WIDTH = len(FLOAT_FIELDS)
 
 
 class RunLog:
     """One run's log, held by column: `values` holds each record's nine
     floats (FLOAT_FIELDS) unboxed, record after record, `segments` its
-    segment label and `faults` its fault flag (0 or 1). `records` reads the
-    same log as LogRecords; RunLog(records) builds a log of LogRecords."""
+    segment label and `faults` its fault flag (0 or 1)."""
 
     __slots__ = ("values", "segments", "faults", "fault")
 
-    def __init__(self, records=(), fault: str | None = None):
+    def __init__(self):
         self.values = array("d")
         self.segments: list[str] = []
         self.faults = bytearray()
-        self.fault = fault  # fault description when the run aborted
-        for r in records:
-            self.values.extend(r[:_WIDTH])
-            self.segments.append(r.segment)
-            self.faults.append(r.fault)
+        self.fault: str | None = None  # fault description when the run aborted
 
     @property
-    def records(self) -> RecordsView:
-        return RecordsView(self)
+    def records(self) -> range:
+        """A range as long as the log, built in O(1) with no record: it exists
+        only because bench/run.py counts plant steps with len(log.records),
+        and goes when the benchmark counts len(log.segments) (ROADMAP item 1)."""
+        return range(len(self.segments))
 
     def column(self, name: str) -> array:
         """One float field (FLOAT_FIELDS) of every record, as an array('d')."""
@@ -180,39 +164,6 @@ def _rows(log: RunLog):
     fault flag."""
     floats = iter(log.values)
     return zip(*[floats] * _WIDTH, log.segments, map(bool, log.faults))
-
-
-class RecordsView(Sequence):
-    """RunLog.records: a read-only sequence of the log's LogRecords, each
-    built when it is read. It equals a list of the same records."""
-
-    __slots__ = ("_log",)
-
-    def __init__(self, log: RunLog):
-        self._log = log
-
-    def __len__(self) -> int:
-        return len(self._log.segments)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        log = self._log
-        i = range(len(log.segments))[i]  # negative indices and IndexError as a list's
-        k = i * _WIDTH
-        return _new_tuple(LogRecord, (*log.values[k:k + _WIDTH], log.segments[i],
-                                      bool(log.faults[i])))
-
-    def __iter__(self):
-        return map(LogRecord._make, _rows(self._log))
-
-    def __eq__(self, other):
-        if isinstance(other, RecordsView):
-            a, b = self._log, other._log
-            return a.values == b.values and a.segments == b.segments and a.faults == b.faults
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
 
 
 def initial_lateral_for_error(e_I: float, imp: ImplementConfig) -> float:
@@ -439,8 +390,8 @@ def read_csv(fh) -> RunLog:
     for n, line in enumerate(fh, start=2):
         parts = line.rstrip("\n").split(",")
         try:
-            if len(parts) != len(LogRecord._fields):
-                raise ValueError(f"{len(parts)} fields, expected {len(LogRecord._fields)}")
+            if len(parts) != _WIDTH + 2:
+                raise ValueError(f"{len(parts)} fields, expected {_WIDTH + 2}")
             if parts[10] not in ("0", "1"):
                 raise ValueError(f"fault field {parts[10]!r}, expected 0 or 1")
             vals = [float(p) for p in parts[:_WIDTH]]

@@ -146,10 +146,15 @@ def _at_line(exc: ParameterError, given: dict) -> ScenarioError:
     return ScenarioError(str(exc))
 
 
+# Python's default bound on the digits of an int read from text
+MAX_SEED_DIGITS = 4300
+SEED_RULE = f"must be a non-negative integer of at most {MAX_SEED_DIGITS} digits"
+
+
 def is_seed(text: str) -> bool:
-    """Whether text is a valid seed: a non-negative integer in ASCII digits,
-    with no sign, point or spaces."""
-    return text.isascii() and text.isdigit()
+    """Whether text is a valid seed (SEED_RULE): ASCII digits, with no sign,
+    point or spaces, and at most MAX_SEED_DIGITS of them."""
+    return text.isascii() and text.isdigit() and len(text) <= MAX_SEED_DIGITS
 
 
 def _seed(d: dict) -> int:
@@ -157,8 +162,7 @@ def _seed(d: dict) -> int:
         return 0
     text = d["seed"]
     if not is_seed(text):
-        raise ScenarioError(f"line {text.line}: key 'seed': must be a non-negative "
-                            f"integer, got {text!r}")
+        raise ScenarioError(f"line {text.line}: key 'seed': {SEED_RULE}, got {text!r}")
     return int(text)
 
 
@@ -245,10 +249,7 @@ def parse_scenario(text: str, seed_override: int | None = None,
     try:  # the config classes check every value; a failed check names its key's line
         vehicle = replace(VehicleConfig(), **_fields(v, _VEHICLE_KEYS))
         method, params, preset_imp = _build_controller(c)
-        if i:
-            implement = replace(REAR_IMPLEMENT, **_fields(i, _IMPLEMENT_KEYS))
-        else:
-            implement = preset_imp or REAR_IMPLEMENT
+        implement = replace(preset_imp or REAR_IMPLEMENT, **_fields(i, _IMPLEMENT_KEYS))
         run = _fields(r, _RUN_KEYS)
         run.setdefault("run_length", path.total_length - 1.0)
         if "initial_y" not in run:

@@ -5,10 +5,31 @@ import random
 
 import numpy as np
 
+from implement_guidance.harness import RunLog
+
 
 def column(log, name):
     """One float field of every record of a run log, as a numpy array."""
     return np.array(log.column(name))
+
+
+def log_of(rows):
+    """A run log filled from rows, each a record's nine floats, segment label
+    and fault flag."""
+    log = RunLog()
+    for row in rows:
+        log.values.extend(row[:9])
+        log.segments.append(row[9])
+        log.faults.append(row[10])
+    return log
+
+
+def same_log(a, b):
+    """Whether two run logs hold the same records: the same floats bit for
+    bit (-0.0 is not 0.0, and a NaN equals itself), segment labels and fault
+    flags."""
+    return (a.values.tobytes() == b.values.tobytes() and a.segments == b.segments
+            and a.faults == b.faults)
 
 
 def edge_floats(limit, seed=0, n=40):

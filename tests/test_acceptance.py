@@ -323,8 +323,7 @@ def test_criterion_7_singularity_guards(tmp_path, capsys):
                    params=params, run_length=5.0, initial_y=1.0 - 1e-9)
     log = run_scenario(scn)
     guard1 = log.fault is not None and all(
-        math.isfinite(r.delta_cmd) and math.isfinite(r.delta_actual)
-        for r in log.records)
+        math.isfinite(x) for name in ("delta_cmd", "delta_actual") for x in log.column(name))
 
     # |1 - gamma I_y| < 1e-6 in the controller: fail-safe hold, finite command
     imp2 = ImplementConfig(I_s=-2.0, I_y=0.5)

@@ -15,7 +15,12 @@ from implement_guidance import harness
 from implement_guidance.cli import main
 from implement_guidance.errors import GuidanceError
 from implement_guidance.harness import read_csv
-from implement_guidance.scenario_io import _BLOCK_KEYS, parse_scenario
+from implement_guidance.scenario_io import (
+    _BLOCK_KEYS,
+    MAX_SEED_DIGITS,
+    SEED_RULE,
+    parse_scenario,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -243,6 +248,7 @@ def test_shipped_scenarios_validate(tmp_path, capsys):
     ("[path]\nsegment kind=line length_m=20\n"
      "segment kind=arc length_m=1e300 curvature_per_m=1e10\n", 4),
     ("[path]\npreset exp2\nsegment kind=line length_m=5\n", 4),
+    ("[path]\npreset exp1\n[run]\nseed " + "1" * 5000 + "\n", 5),
 ], ids=["segment_not_a_number", "segment_infinite", "dt_zero", "run_length_nan",
         "seed_not_integer", "initial_s_beyond_path", "initial_s_beyond_run_length",
         "noise_std_negative", "horizon_samples_beyond_limit", "plant_steps_beyond_limit",
@@ -252,7 +258,8 @@ def test_shipped_scenarios_validate(tmp_path, capsys):
         "noise_enabled_not_boolean", "initial_y_from_initial_e_not_finite",
         "segment_field_repeated", "segment_kind_unknown", "segment_length_zero",
         "arc_curvature_zero", "line_curvature_nonzero", "last_arc_radius_overflows",
-        "middle_arc_radius_overflows", "arc_turn_overflows", "path_preset_and_segments"])
+        "middle_arc_radius_overflows", "arc_turn_overflows", "path_preset_and_segments",
+        "seed_beyond_digit_limit"])
 def test_bad_value_exits_2_with_line(tmp_path, capsys, body, line):
     p = tmp_path / "bad.scn"
     p.write_text("format_version 1\n" + body)
@@ -261,13 +268,29 @@ def test_bad_value_exits_2_with_line(tmp_path, capsys, body, line):
         assert f"scenario error: line {line}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed", ["-1", "1.7", "x"])
+@pytest.mark.parametrize("seed", ["-1", "1.7", "x",
+                                  pytest.param("1" * 5000, id="5000_digits")])
 def test_bad_seed_flag_exits_2(seed, capsys):
     run = ["--seed", seed, "run", str(SCENARIOS / "exp1_rear_optimal.scn")]
     with pytest.raises(SystemExit) as exc:
         main(run)
     assert exc.value.code == 2
-    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+    assert f"argument --seed: {SEED_RULE}, got " in capsys.readouterr().err
+
+
+def test_seed_digit_limit_is_one_rule_for_the_file_and_the_flag(tmp_path, capsys):
+    # Python reads an int of at most 4300 digits from text; a longer seed
+    # once exited 1 from a file
+    seed = "9" * MAX_SEED_DIGITS
+    p = tmp_path / "seed.scn"
+    p.write_text(MINI + f"seed {seed}\n")  # MINI ends in its [run] block
+    assert main(["validate", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["run"]["seed"] == int(seed)
+    assert main(["--out-dir", str(tmp_path / "o"), "--seed", seed, "--noise", "on",
+                 "run", str(p)]) == 0
+    p.write_text(MINI + f"seed {seed}9\n")
+    assert main(["validate", str(p)]) == 2
+    assert f"scenario error: line 9: key 'seed': {SEED_RULE}, got " in capsys.readouterr().err
 
 
 # ------------------------------------------------------ mutated scenario text
@@ -368,15 +391,16 @@ def test_narrow_headland_run_keeps_s_on_its_row(e_I, tmp_path):
     scn = parse_scenario(p.read_text())
     with open(tmp_path / "o" / "run.csv") as fh:
         log = read_csv(fh)
-    records = log.records
-    assert records[0].s == scn.initial_s and records[-1].s >= scn.run_length
+    s, y = log.column("s"), log.column("y")
+    assert s[0] == scn.initial_s and s[-1] >= scn.run_length
     # s moves at most one step's travel at the Frenet rate v cos(theta~) /
     # (1 - c y), plus a margin; inside a turn that rate is up to 2.1 v here
     curvature = dict(zip(scn.path.labels, (seg.curvature for seg in scn.path.segments)))
-    for a, b in zip(records, records[1:]):
-        rate = max(1.0 / (1.0 - curvature[r.segment] * r.y) for r in (a, b))
-        assert abs(b.s - a.s) <= scn.vehicle.speed * scn.dt * rate + 0.01
-    assert {r.segment for r in log.records} >= {"L3", "C3", "L4", "C4", "L5"}
+    rates = [1.0 / (1.0 - curvature[segment] * yi) for segment, yi in zip(log.segments, y)]
+    travel = scn.vehicle.speed * scn.dt
+    for i in range(1, len(s)):
+        assert abs(s[i] - s[i - 1]) <= travel * max(rates[i - 1], rates[i]) + 0.01
+    assert set(log.segments) >= {"L3", "C3", "L4", "C4", "L5"}
 
 
 def test_controller_domain_fault_exits_3_with_its_log(tmp_path, capsys):
@@ -395,8 +419,8 @@ def test_controller_domain_fault_exits_3_with_its_log(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["fault"] == "controller fail-safe: |theta_tilde| must be < pi/2"
     with open(out / "run.csv") as fh:
-        records = read_csv(fh).records
-    assert records and records[-1].fault
+        log = read_csv(fh)
+    assert log.faults and log.faults[-1]
 
 
 @pytest.mark.parametrize("method", ["optimal", "backstepping", "lateral_servoing"])
@@ -416,10 +440,10 @@ def test_nan_steering_angle_is_a_fault_that_exits_3(method, monkeypatch, tmp_pat
     assert "simulation fault: controller fail-safe: the raw steering angle is NaN" in (
         capsys.readouterr().err)
     with open(out / "run.csv") as fh:
-        records = read_csv(fh).records
-    assert [r.fault for r in records] == [False] * 20 + [True]
-    assert all(math.isfinite(r.delta_actual) and math.isfinite(r.delta_cmd)
-               and math.isfinite(r.theta_d) for r in records)
+        log = read_csv(fh)
+    assert list(map(bool, log.faults)) == [False] * 20 + [True]
+    assert all(math.isfinite(x) for name in ("delta_actual", "delta_cmd", "theta_d")
+               for x in log.column(name))
 
 
 @pytest.mark.parametrize("old, new, s_final", [
@@ -440,11 +464,12 @@ def test_run_that_uses_up_its_step_budget_exits_3(old, new, s_final, tmp_path, c
     summary = json.loads((out / "summary.json").read_text())
     assert "short of run_length 47.27" in summary["fault"]
     with open(out / "run.csv") as fh:
-        records = read_csv(fh).records
-    assert records[-1].fault and not any(r.fault for r in records[:-1])
-    assert records[-1].s < 47.27
+        log = read_csv(fh)
+    assert list(map(bool, log.faults)) == [False] * (len(log.faults) - 1) + [True]
+    s_end = log.column("s")[-1]
+    assert s_end < 47.27
     if s_final is not None:
-        assert records[-1].s == s_final
+        assert s_end == s_final
 
 
 _PRESETS = sorted(f"table1_{placement}_{method}" for placement in ("front", "rear")

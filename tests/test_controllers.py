@@ -410,11 +410,11 @@ def test_optimal_arc_steady_state():
                    params=REAR_PARAMS, run_length=55.0,
                    initial_y=initial_lateral_for_error(0.0, REAR))
     log = run_scenario(scn)
-    tail = log.records[-50:]
+    tail = (log.column(name)[-50:] for name in ("theta_d", "theta_tilde", "delta_actual"))
     delta_ss = math.atan(CFG.wheelbase / R)
-    for r in tail:
-        assert abs(r.theta_d - r.theta_tilde) < 1e-3
-        assert abs(r.delta_actual - delta_ss) < 2e-2
+    for theta_d, theta_tilde, delta_actual in zip(*tail):
+        assert abs(theta_d - theta_tilde) < 1e-3
+        assert abs(delta_actual - delta_ss) < 2e-2
 
 
 def test_optimal_command_always_within_limits():
@@ -496,7 +496,7 @@ def test_lateral_servoing_trivials_and_convergence():
                    params=BaselineParams(0.1, 0.8), run_length=115.0,
                    initial_y=initial_lateral_for_error(0.5, imp))
     log = run_scenario(scn)
-    assert abs(log.records[-1].e_I_exact) < 0.02
+    assert abs(log.column("e_I_exact")[-1]) < 0.02
 
 
 def test_backstepping_controller_ignores_measured_yaw_rate():

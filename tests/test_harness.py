@@ -18,10 +18,10 @@ from implement_guidance.errors import DomainError, ParameterError, SingularityEr
 from implement_guidance.harness import (
     CSV_HEADER,
     MAX_PLANT_STEPS,
-    LogRecord,
     NoiseSpec,
     RunLog,
     Scenario,
+    _rows,
     compare_methods,
     initial_lateral_for_error,
     read_csv,
@@ -35,7 +35,7 @@ from implement_guidance.paths import ReferencePath, build_experiment_path, build
 from implement_guidance.presets import REAR_IMPLEMENT, TABLE1, TABLE2
 from implement_guidance.vehicle import ImplementConfig, VehicleConfig
 
-from support import column
+from support import column, log_of, same_log
 
 CFG = VehicleConfig()
 
@@ -72,7 +72,7 @@ def test_scenario_validation():
 def test_scenario_caps_the_plant_step_budget():
     # built in code, as compare and sweep build theirs: unchecked, a 1e-6 s
     # step took a budget of 1.65e8 plant steps
-    with pytest.raises(ParameterError, match=r"^the run may take 1\.65e\+08 plant steps "
+    with pytest.raises(ParameterError, match=r"^the run may take 165000001 plant steps "
                                              r"\(its budget, Scenario\.max_steps\), above "
                                              rf"the limit {MAX_PLANT_STEPS}$") as exc:
         straight_scenario(dt=1e-6, control_period=1e-6)
@@ -82,7 +82,7 @@ def test_scenario_caps_the_plant_step_budget():
     assert 6 * 1666666.5 + 1 == MAX_PLANT_STEPS
     scn = straight_scenario(path=line, dt=0.5, control_period=0.5, run_length=1666666.5)
     assert scn.max_steps == MAX_PLANT_STEPS
-    with pytest.raises(ParameterError, match="the run may take 1e\\+07 plant steps"):
+    with pytest.raises(ParameterError, match="the run may take 10000001 plant steps"):
         straight_scenario(path=line, dt=0.5, control_period=0.5, run_length=1666666.75)
 
 
@@ -123,7 +123,7 @@ def test_noise_spec_rejects_negative_or_non_finite_std(name, value):
 def test_noise_spec_accepts_zero_std():
     spec = NoiseSpec(enabled=True, y_std=0.0, theta_std=0.0, omega_std=0.0)
     log = run_scenario(straight_scenario(run_length=10.0, noise=spec, seed=3))
-    assert log.records == run_scenario(straight_scenario(run_length=10.0)).records
+    assert same_log(log, run_scenario(straight_scenario(run_length=10.0)))
 
 
 def test_noise_spec_reads_negative_zero_std_as_zero():
@@ -151,14 +151,14 @@ def test_noisy_runs_bit_identical_for_same_seed():
     noise = NoiseSpec(enabled=True)
     a = run_scenario(straight_scenario(seed=42, noise=noise))
     b = run_scenario(straight_scenario(seed=42, noise=noise))
-    assert a.records == b.records
+    assert same_log(a, b)
 
 
 def test_noisy_runs_differ_for_different_seed():
     noise = NoiseSpec(enabled=True)
     a = run_scenario(straight_scenario(seed=1, noise=noise))
     b = run_scenario(straight_scenario(seed=2, noise=noise))
-    assert a.records != b.records
+    assert not same_log(a, b)
 
 
 @pytest.mark.parametrize("block", [2, 7, harness.NOISE_BLOCK])
@@ -179,14 +179,14 @@ def test_noisy_run_independent_of_block_size(monkeypatch):
                             noise=NoiseSpec(enabled=True))
     default = run_scenario(scn)
     monkeypatch.setattr(harness, "NOISE_BLOCK", 2)
-    assert run_scenario(scn).records == default.records
-    assert default.fault is None and len(default.records) > 4000
+    assert same_log(run_scenario(scn), default)
+    assert default.fault is None and len(default.segments) > 4000
 
 
 def test_seed_ignored_when_noise_disabled():
     a = run_scenario(straight_scenario(seed=1))
     b = run_scenario(straight_scenario(seed=2))
-    assert a.records == b.records
+    assert same_log(a, b)
 
 
 # ---------------------------------------------- hinted projection in the loop
@@ -245,12 +245,12 @@ def test_hinted_and_full_projection_give_equal_runs(monkeypatch):
         log, reference, hinted, hinted_without = _run_with_and_without_hints(monkeypatch, scn)
         # both projections of a plant step (robot and implement) pass a hint:
         # one per record, and one per step after all but the last record
-        assert hinted == 2 * len(log.records) - 1 and hinted_without == 0
-        assert log.fault is None and len(log.records) > 3000
-        assert log.records == reference.records
+        assert hinted == 2 * len(log.segments) - 1 and hinted_without == 0
+        assert log.fault is None and len(log.segments) > 3000
+        assert same_log(log, reference)
         logs.append(log)
     # the field run went through the headland turn
-    assert {r.segment for r in logs[0].records} >= {"L2", "C2", "L3"}
+    assert set(logs[0].segments) >= {"L2", "C2", "L3"}
 
 
 def test_hinted_run_follows_segments_shorter_than_a_step(monkeypatch):
@@ -290,9 +290,9 @@ def test_hinted_run_follows_segments_shorter_than_a_step(monkeypatch):
     assert all(lo <= i <= hi for lo, hi, seen in windows for i in seen)
     assert max(len(seen) for _, _, seen in windows) >= 5
     log, reference, _, _ = _run_with_and_without_hints(monkeypatch, scn)
-    assert log.fault is None and len(log.records) > 100
-    assert log.records == reference.records
-    s = [r.s for r in log.records]
+    assert log.fault is None and len(log.segments) > 100
+    assert same_log(log, reference)
+    s = log.column("s")
     assert max(b - a for a, b in zip(s, s[1:])) < 0.15
 
 
@@ -310,7 +310,7 @@ def test_plant_step_looks_up_no_segment(monkeypatch, which):
     else:
         scn = straight_scenario(run_length=20.0, control_period=0.01)
     log = run_scenario(scn)
-    assert log.fault is None and len(log.records) > 1000
+    assert log.fault is None and len(log.segments) > 1000
     assert calls == [scn.initial_s] * 2
 
 
@@ -356,7 +356,7 @@ def test_plant_step_calls_no_builtin_min_or_max(monkeypatch, which):
             log = run_scenario(scn)
         assert log.fault is None
         counts.append(sorted(calls))
-        lengths.append(len(log.records))
+        lengths.append(len(log.segments))
     start = [("segment_index", "min")] * 2
     if runs[0].method == "optimal":
         start.append(("OptimalController", "max"))
@@ -380,8 +380,8 @@ def test_run_calls_the_names_the_benchmark_traces(monkeypatch):
     monkeypatch.setattr(Controller, "step", counting("Controller.step", Controller.step))
     scn = straight_scenario(run_length=20.0)
     log = run_scenario(scn)
-    n = len(log.records)
-    assert log.fault is None and log.records[-1].s >= scn.run_length
+    n = len(log.segments)
+    assert log.fault is None and log.column("s")[-1] >= scn.run_length
     assert counts["step"] == n - 1
     assert counts["implement_error_exact"] == n
     assert counts["measure"] == counts["Controller.step"] == math.ceil(n / 10)
@@ -397,8 +397,7 @@ def test_fault_truncates_log_without_raising():
                    params=params, run_length=5.0, initial_y=0.999999999)
     log = run_scenario(scn)
     assert log.fault is not None
-    for r in log.records:
-        assert math.isfinite(r.delta_cmd)
+    assert all(map(math.isfinite, log.column("delta_cmd")))
 
 
 def _raise_on_call(k, fn, exc):
@@ -444,13 +443,14 @@ def test_each_fault_exit_records_one_faulted_last_record(monkeypatch, fault):
     message, n = fault(monkeypatch)
     log = run_scenario(scn)
     assert log.fault == message
-    assert [r.fault for r in log.records] == [False] * (n - 1) + [True]
+    assert list(map(bool, log.faults)) == [False] * (n - 1) + [True]
     t = 0.0
     for _ in range(n - 1):
         t += scn.dt
-    assert log.records[-1].t == t
+    assert log.column("t")[-1] == t
     if fault is _step_fault:
-        assert log.records[-1][1:4] == log.records[-2][1:4]
+        *_, before, last = _rows(log)
+        assert last[1:4] == before[1:4]  # s, y and theta_tilde
 
 
 def test_budget_whose_last_step_reaches_run_length_records_that_step(monkeypatch):
@@ -462,9 +462,10 @@ def test_budget_whose_last_step_reaches_run_length_records_that_step(monkeypatch
         pose, proj._replace(frenet=proj.frenet._replace(s=proj.frenet.s + ds))))
     log = run_scenario(scn)
     assert log.fault is None
-    assert len(log.records) == scn.max_steps + 1 == 611
-    assert log.records[-1].s >= scn.run_length > log.records[-2].s
-    assert not any(r.fault for r in log.records)
+    s = log.column("s")
+    assert len(log.segments) == scn.max_steps + 1 == 611
+    assert s[-1] >= scn.run_length > s[-2]
+    assert not any(log.faults)
 
 
 @pytest.mark.parametrize("speed, dt", [(1e-200, 1e-200), (1e-300, 1e-10)])
@@ -495,8 +496,8 @@ def test_scenario_owns_the_method_rule():
 def test_run_stops_at_run_length():
     log = run_scenario(straight_scenario())
     assert log.fault is None
-    assert log.records[-1].s >= 55.0
-    assert log.records[-1].s < 55.0 + CFG.speed * 0.01 + 1e-9
+    s_end = log.column("s")[-1]
+    assert 55.0 <= s_end < 55.0 + CFG.speed * 0.01 + 1e-9
 
 
 # ---------------------------------------------------------------- summarize
@@ -524,8 +525,8 @@ def _reference_summarize(log, junctions=(), window=3.0):
     keep = s >= s[0] + 5.0
     sample = e[keep] if keep.any() else e
     per_segment = {}
-    for r in log.records:
-        per_segment.setdefault(r.segment, []).append(abs(r.e_I_exact))
+    for segment, e_I in zip(log.segments, log.column("e_I_exact")):
+        per_segment.setdefault(segment, []).append(abs(e_I))
     overshoot = {}
     for sj in junctions:
         win = np.abs(s - sj) <= window
@@ -538,7 +539,7 @@ def _reference_summarize(log, junctions=(), window=3.0):
         "max_abs_e_m": float(sample.max()),
         "per_segment_median_m": {k: float(np.median(v)) for k, v in per_segment.items()},
         "junction_overshoot_m": overshoot,
-        "fault_count": sum(1 for r in log.records if r.fault),
+        "fault_count": sum(1 for f in log.faults if f),
         "n_samples": int(sample.size),
     }
 
@@ -577,17 +578,17 @@ def _logs(draw):
                            min_size=n, max_size=n))
     segments = draw(st.lists(st.sampled_from(["L1", "C1", "L2"]), min_size=n, max_size=n))
     faults = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return RunLog([LogRecord(0.01 * i, si, 0.0, 0.0, ei, 0.0, 0.0, 0.0, 0.0, segment, fault)
-                   for i, (si, ei, segment, fault)
-                   in enumerate(zip(abscissae, errors, segments, faults))])
+    return log_of((0.01 * i, si, 0.0, 0.0, ei, 0.0, 0.0, 0.0, 0.0, segment, fault)
+                  for i, (si, ei, segment, fault)
+                  in enumerate(zip(abscissae, errors, segments, faults)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(log=_logs(),
        junctions=st.lists(st.one_of(_ABSCISSA, st.just(1e3)), max_size=5).map(tuple),
        window=st.one_of(_LENGTH, st.floats(0.0, 20.0)))
-@example(log=RunLog([LogRecord(0.01 * i, s, 0.0, 0.0, e, 0.0, 0.0, 0.0, 0.0, "L1", False)
-                     for i, (s, e) in enumerate([(1.0, 0.5), (5.75, -0.25), (3.0, 2.0)])]),
+@example(log=log_of((0.01 * i, s, 0.0, 0.0, e, 0.0, 0.0, 0.0, 0.0, "L1", False)
+                    for i, (s, e) in enumerate([(1.0, 0.5), (5.75, -0.25), (3.0, 2.0)])),
          junctions=(2.0, 1e3), window=1.0)
 def test_summarize_equals_numpy_reference(log, junctions, window):
     # a log whose records all lie within 5 m of its first abscissa leaves
@@ -599,13 +600,13 @@ def test_summarize_equals_numpy_reference(log, junctions, window):
 def test_summarize_equals_numpy_reference_on_a_run():
     scn = straight_scenario(path=build_experiment_path("exp1"), run_length=45.0)
     log = run_scenario(scn)
-    for n in (len(log.records), len(log.records) - 1):  # even and odd sample sizes
-        _assert_summaries_equal(RunLog(log.records[:n]), junctions=scn.path.junctions(),
+    rows = list(_rows(log))
+    for n in (len(rows), len(rows) - 1):  # even and odd sample sizes
+        _assert_summaries_equal(log_of(rows[:n]), junctions=scn.path.junctions(),
                                 window=scn.params.s_h + 3.0)
 
 
 def test_summarize_empty_log_rejected():
-    from implement_guidance.harness import RunLog
     with pytest.raises(ParameterError):
         summarize(RunLog())
 
@@ -668,7 +669,7 @@ def test_front_optimal_anticipates_junction_at_the_implement():
 
 def test_run_log_costs_at_most_96_bytes_per_record():
     # nine unboxed floats (72 B), a shared segment label and a fault flag;
-    # a LogRecord of boxed floats cost 317-361 B
+    # a record of boxed floats cost 317-361 B
     scn = straight_scenario(path=build_experiment_path("exp1"), run_length=45.0, seed=7,
                             noise=NoiseSpec(enabled=True))
     run_scenario(scn)  # the noise generator's first use is not the log's
@@ -679,41 +680,28 @@ def test_run_log_costs_at_most_96_bytes_per_record():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(log.records) > 4000
-    assert held / len(log.records) <= 96
+    assert len(log.segments) > 4000
+    assert held / len(log.segments) <= 96
 
 
-def _records_of_csv(text):
-    """The records of a CSV, parsed field by field into a list of LogRecords:
-    the records a list-of-records log held, as the golden hashes pin its CSV."""
-    return [LogRecord(*map(float, row[:9]), row[9], row[10] == "1")
-            for row in (line.split(",") for line in text.splitlines()[1:])]
-
-
-def test_records_view_counts_plant_steps_and_equals_a_list_of_records(monkeypatch):
+def test_log_counts_plant_steps_and_holds_the_records_of_its_csv(monkeypatch):
     scn = straight_scenario(path=build_experiment_path("exp1"), run_length=45.0, seed=7,
                             noise=NoiseSpec(enabled=True))
     steps = []
     step = harness.step
     monkeypatch.setattr(harness, "step", lambda *args: steps.append(1) or step(*args))
-    monkeypatch.setattr(harness, "LogRecord", None)  # the run and len() build no record
     log = run_scenario(scn)
-    assert len(log.records) == len(steps) + 1  # the start state, then each step's end
+    # the start state, then each step's end; the benchmark counts plant steps
+    # with len(log.records)
+    assert len(log.records) == len(log.segments) == len(steps) + 1
     monkeypatch.undo()
-    got, want = log.records, _records_of_csv(_csv(log))
-    assert got == want and want == got and not got != want
-    assert list(got) == want and got == run_scenario(scn).records
-    n = len(want)
-    for i in (0, 1, n // 2, n - 1, -1, -2, -n):
-        assert got[i] == want[i] and type(got[i]) is LogRecord
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            got[i]
-    for part in (slice(None), slice(5), slice(-3, None), slice(None, None, 7), slice(10, 2),
-                 slice(-1, 0, -3)):
-        assert got[part] == want[part]
-    assert got != want[:-1] and got[:-1] != want
-    assert RunLog(want).records == got
+    # the CSV parsed field by field, column by column: the floats, labels and
+    # flags the log holds, as the golden hashes pin its CSV
+    rows = [line.split(",") for line in _csv(log).splitlines()[1:]]
+    for k, name in enumerate(harness.FLOAT_FIELDS):
+        assert log.column(name).tolist() == [float(row[k]) for row in rows]
+    assert log.segments == [row[9] for row in rows]
+    assert list(log.faults) == [int(row[10]) for row in rows]
 
 
 def test_logged_steer_respects_actuator_limits():
@@ -749,8 +737,8 @@ def test_csv_formats_delta_actual_by_value_and_sign():
     # 0.0 == -0.0, but they print apart, and NaN equals nothing
     values = [0.1, 0.1, 0.0, -0.0, -0.0, 0.0, 0.2, 0.1, math.nan, math.nan, 0.1, -0.0]
     columns = [values, values[3:] + values[:3], values[::-1]]
-    log = RunLog([LogRecord(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, d_cmd, d_actual, theta_d, "L1", False)
-                  for d_cmd, d_actual, theta_d in zip(*columns)])
+    log = log_of((0.0, 1.0, 0.0, 0.0, 0.0, 0.0, d_cmd, d_actual, theta_d, "L1", False)
+                 for d_cmd, d_actual, theta_d in zip(*columns))
     rows = [row.split(",") for row in _csv(log).splitlines()[1:]]
     for k, want in zip((6, 7, 8), columns):  # delta_cmd, delta_actual, theta_d
         assert [row[k] for row in rows] == list(map(repr, want))

@@ -9,6 +9,7 @@ from implement_guidance.errors import ScenarioError
 from implement_guidance.harness import MAX_PLANT_STEPS
 from implement_guidance.presets import TABLE1, TABLE2
 from implement_guidance.scenario_io import parse_blocks, parse_scenario, resolved_config
+from implement_guidance.vehicle import ImplementConfig
 
 FULL = """\
 # full scenario exercising every block
@@ -231,6 +232,18 @@ def test_preset_field_override():
     assert scn.params.k_theta == 0.6  # rest of the preset retained
 
 
+@pytest.mark.parametrize("preset, implement", [
+    ("preset table1_front_optimal\n", ImplementConfig(2.0, -0.3)),
+    ("", ImplementConfig(-2.0, -0.3)),  # no preset: the rear implement's I_s
+])
+def test_implement_keys_override_the_preset_field_by_field(preset, implement):
+    # as [controller] keys override the preset's params; an [implement] key
+    # once swapped the front preset's implement for the rear one
+    text = (f"format_version 1\n[path]\npreset exp1\n[controller]\n{preset}"
+            "[implement]\nI_y_m -0.3\n")
+    assert parse_scenario(text).implement == implement
+
+
 @pytest.mark.parametrize("controller, params", [
     # both baselines default to the rear backstepping gains
     ("method lateral_servoing\n", BaselineParams(k_y=0.2, k_theta=0.6)),
@@ -299,7 +312,7 @@ def test_cost_limits_admit_their_bound():
              "[run]\ndt_s 0.5\ncontrol_period_s 0.5\nlength_m {}\n")
     assert 6 * 1666666.5 + 1 == MAX_PLANT_STEPS
     assert parse_scenario(steps.format(1666666.5)).run_length == 1666666.5
-    with pytest.raises(ScenarioError, match=r"line 5: key 'dt_s': the run may take 1e\+07 "
+    with pytest.raises(ScenarioError, match=r"line 5: key 'dt_s': the run may take 10000001 "
                                             r"plant steps"):
         parse_scenario(steps.format(1666666.75))
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from implement_guidance.errors import ParameterError, SingularityError
-from implement_guidance.harness import LogRecord
 from implement_guidance.paths import (
     FrenetState,
     Projection,
@@ -375,7 +374,6 @@ def test_per_step_types_are_immutable():
         Projection(frenet, 0),
         VehiclePose(0.0, 0.0, 0.0, 0.0),
         Measurements(frenet, 0.0, 0.0, 0.0, 0.0),
-        LogRecord(0.0, 1.0, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, "L1", False),
     ]
     for value in values:
         for name in value._fields:
