@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import GuidanceError, ScenarioError
+from .errors import GuidanceError, ScenarioError, quoted
 from .harness import (
     NoiseSpec,
     Scenario,
@@ -136,7 +136,7 @@ def cmd_sweep(args) -> int:
         try:
             wanted = {float(h) for h in args.horizons.split(",")}
         except ValueError:
-            print(f"error: bad --horizons value {args.horizons!r}", file=sys.stderr)
+            print(f"error: bad --horizons value {quoted(args.horizons)}", file=sys.stderr)
             return EXIT_VALIDATION
         rows = [p for p in TABLE2 if p.s_h in wanted]
         if not rows:
@@ -171,7 +171,7 @@ def cmd_validate(args) -> int:
 
 def _non_negative_int(text: str) -> int:
     if not is_seed(text):
-        raise argparse.ArgumentTypeError(f"{SEED_RULE}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{SEED_RULE}, got {quoted(text)}")
     return int(text)
 
 

@@ -1,7 +1,20 @@
-"""Exception types shared across the toolkit, and the field check that
-configuration objects share."""
+"""Exception types shared across the toolkit, the field check that
+configuration objects share, and the bounded echo of a rejected text that
+their messages share."""
 
 import math
+
+
+# an error echoes at most this many characters of a rejected text
+ECHO_CHARS = 40
+
+
+def quoted(text) -> str:
+    """text's repr for an error message: whole up to ECHO_CHARS characters
+    (or when it is not a str), else its first ECHO_CHARS and its length."""
+    if not isinstance(text, str) or len(text) <= ECHO_CHARS:
+        return repr(text)
+    return f"{text[:ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
 class GuidanceError(Exception):

@@ -17,14 +17,12 @@ from itertools import compress, groupby
 
 from .controllers import CONTROLLERS, BaselineParams, Controller, OptimalParams
 from .errors import ParameterError, SingularityError, require_positive
-from .paths import FrenetState, Projection, ReferencePath, _new_tuple
+from .paths import FrenetState, Projection, ReferencePath
 from .presets import TABLE1, TABLE2, REAR_IMPLEMENT
 from .vehicle import (
     ImplementConfig,
-    Measurements,
     VehicleConfig,
     implement_error_exact,
-    implement_error_measured,
     measure,
     pose_on_path,
     step,
@@ -32,8 +30,6 @@ from .vehicle import (
 
 CSV_HEADER = ("t_s,s_m,y_m,theta_tilde_rad,e_I_exact_m,e_I_measured_m,"
               "delta_cmd_rad,delta_actual_rad,theta_d_rad,segment,fault")
-# standard normals a noisy run draws from its generator at a time
-NOISE_BLOCK = 1024
 # a summary leaves out the first SKIP_S m of a run, its initial convergence;
 # a junction's window reaches WINDOW_PAD m past the controller's horizon
 SKIP_S = 5.0
@@ -177,12 +173,14 @@ def run_scenario(scn: Scenario) -> RunLog:
     is truncated with the fault recorded instead."""
     path = scn.path
     controller = scn.make_controller()
-    noise = scn.noise
-    if noise.enabled:
-        # numpy only for noise: the noisy outputs are fixed by its PCG64 stream
-        import numpy as np
+    draws = None
+    if scn.noise.enabled:
+        # imported with noise on only, so that no other call compiles its tables
+        from . import noise
 
-        z = _standard_normals(np.random.default_rng(scn.seed)).__next__
+        spec = scn.noise
+        draws = (spec.y_std, spec.theta_std, spec.omega_std,
+                 noise.standard_normals(scn.seed).__next__)
     pose = pose_on_path(path, scn.initial_s, scn.initial_y, scn.initial_theta)
     # the plant state is (pose, proj); the start state is given, not projected
     proj = Projection(FrenetState(scn.initial_s, scn.initial_y, scn.initial_theta),
@@ -196,16 +194,7 @@ def run_scenario(scn: Scenario) -> RunLog:
         for i in range(scn.max_steps):
             if i % n_ctrl == 0:
                 meas = measure(pose, proj, path, scn.vehicle, scn.implement,
-                               controller.horizon)
-                if noise.enabled:
-                    # 0.0 + std * z is normal(0.0, std) bit for bit, drawn y, theta, omega
-                    s, y, theta_tilde = meas.frenet
-                    noisy = _new_tuple(FrenetState, (s, y + (0.0 + noise.y_std * z()),
-                                                     theta_tilde + (0.0 + noise.theta_std * z())))
-                    meas = _new_tuple(Measurements, (
-                        noisy, meas.omega_bar + (0.0 + noise.omega_std * z()),
-                        implement_error_measured(noisy, scn.implement),
-                        meas.curvature_now, meas.curvature_at_horizon))
+                               controller.horizon, draws)
                 cmd = controller.step(meas)
                 delta_cmd = cmd.delta_desired
                 theta_d = cmd.theta_desired
@@ -229,13 +218,6 @@ def run_scenario(scn: Scenario) -> RunLog:
     if log.fault is not None:
         _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault=True)
     return log
-
-
-def _standard_normals(rng):
-    """rng's standard normals, drawn NOISE_BLOCK at a time: the same values,
-    in the same order, as one scalar draw each."""
-    while True:
-        yield from rng.standard_normal(NOISE_BLOCK).tolist()
 
 
 def _append(log, t, pose, proj, scn, path, delta_cmd, theta_d, fault):

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import PathConstructionError, RangeError
+from .errors import PathConstructionError, RangeError, quoted
 
 _G1_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
@@ -54,7 +54,7 @@ class PathSegment:
 
     def __post_init__(self):
         if self.kind not in ("line", "arc"):
-            raise PathConstructionError(f"unknown segment kind {self.kind!r}")
+            raise PathConstructionError(f"unknown segment kind {quoted(self.kind)}")
         if not all(map(math.isfinite, (*self.start, self.start_heading, self.length,
                                        self.curvature))):
             raise PathConstructionError("segment start, heading, length and curvature "

@@ -13,7 +13,7 @@ import math
 from dataclasses import replace
 
 from .controllers import OptimalParams
-from .errors import ParameterError, PathConstructionError, ScenarioError
+from .errors import ParameterError, PathConstructionError, ScenarioError, quoted
 from .harness import NoiseSpec, Scenario, initial_lateral_for_error
 from .paths import PRESET_DESCRIPTORS, build_path
 from .presets import REAR_IMPLEMENT, TABLE1, TABLE2
@@ -55,7 +55,6 @@ _BLOCK_KEYS = {
 
 _SEGMENT_KEYS = {"kind", "length_m", "curvature_per_m"}
 
-
 class _Value(str):
     """A value as written in the file, with the line it was read from."""
 
@@ -80,7 +79,7 @@ def parse_blocks(text: str) -> dict:
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             if current not in _BLOCK_KEYS:
-                raise ScenarioError(f"line {lineno}: unknown block [{current}]")
+                raise ScenarioError(f"line {lineno}: unknown block {quoted(current)}")
             block = blocks.setdefault(current, {})
             continue
         key, _, value = line.partition(" ")
@@ -88,12 +87,13 @@ def parse_blocks(text: str) -> dict:
         if current is None:
             if key == "format_version":
                 if value != str(FORMAT_VERSION):
-                    raise ScenarioError(f"line {lineno}: unsupported format_version {value!r}")
+                    raise ScenarioError(f"line {lineno}: unsupported format_version "
+                                        f"{quoted(value)}")
                 version_seen = True
                 continue
-            raise ScenarioError(f"line {lineno}: key {key!r} outside any block")
+            raise ScenarioError(f"line {lineno}: key {quoted(key)} outside any block")
         if key not in _BLOCK_KEYS[current]:
-            raise ScenarioError(f"line {lineno}: unknown key {key!r} in block [{current}]")
+            raise ScenarioError(f"line {lineno}: unknown key {quoted(key)} in block [{current}]")
         if not value:
             raise ScenarioError(f"line {lineno}: key {key!r} has no value")
         if key == "segment":
@@ -112,9 +112,9 @@ def _float(text: str, what: str, line: int) -> float:
     try:
         x = float(text)
     except ValueError:
-        raise ScenarioError(f"line {line}: {what}: not a number: {text!r}") from None
+        raise ScenarioError(f"line {line}: {what}: not a number: {quoted(text)}") from None
     if not math.isfinite(x):
-        raise ScenarioError(f"line {line}: {what}: must be finite, got {text!r}")
+        raise ScenarioError(f"line {line}: {what}: must be finite, got {quoted(text)}")
     return x
 
 
@@ -162,7 +162,7 @@ def _seed(d: dict) -> int:
         return 0
     text = d["seed"]
     if not is_seed(text):
-        raise ScenarioError(f"line {text.line}: key 'seed': {SEED_RULE}, got {text!r}")
+        raise ScenarioError(f"line {text.line}: key 'seed': {SEED_RULE}, got {quoted(text)}")
     return int(text)
 
 
@@ -171,9 +171,9 @@ def _parse_segment(spec: _Value) -> dict:
     for item in spec.split():
         k, _, v = item.partition("=")
         if k not in _SEGMENT_KEYS:
-            raise ScenarioError(f"line {spec.line}: segment: unknown field {k!r}")
+            raise ScenarioError(f"line {spec.line}: segment: unknown field {quoted(k)}")
         if k in desc:
-            raise ScenarioError(f"line {spec.line}: segment: duplicate field {k!r}")
+            raise ScenarioError(f"line {spec.line}: segment: duplicate field {quoted(k)}")
         desc[k] = v if k == "kind" else _float(v, f"segment field {k!r}", spec.line)
     if "kind" not in desc or "length_m" not in desc:
         raise ScenarioError(f"line {spec.line}: segment needs kind and length_m")
@@ -189,7 +189,8 @@ def _build_path(d: dict):
     if "preset" in d:
         name = d["preset"]
         if name not in PRESET_DESCRIPTORS:
-            raise ScenarioError(f"line {name.line}: key 'preset': unknown path preset {name!r}")
+            raise ScenarioError(f"line {name.line}: key 'preset': "
+                                f"unknown path preset {quoted(name)}")
         descriptors = PRESET_DESCRIPTORS[name]
     elif "segment" in d:
         descriptors = [_parse_segment(s) for s in d["segment"]]
@@ -219,7 +220,7 @@ def _build_controller(d: dict):
         preset = d["preset"]
         if preset not in _CONTROLLER_PRESETS:
             raise ScenarioError(f"line {preset.line}: key 'preset': "
-                                f"unknown controller preset {preset!r}")
+                                f"unknown controller preset {quoted(preset)}")
         method_p, preset_imp, params_p = _CONTROLLER_PRESETS[preset]
         method = method or method_p
     if method is None:
@@ -244,7 +245,7 @@ def parse_scenario(text: str, seed_override: int | None = None,
     enabled = n.get("enabled", "false")
     if enabled not in ("true", "false"):
         raise ScenarioError(f"line {enabled.line}: key 'enabled': expected true or false, "
-                            f"got {enabled!r}")
+                            f"got {quoted(enabled)}")
     seed = _seed(r) if seed_override is None else seed_override
     try:  # the config classes check every value; a failed check names its key's line
         vehicle = replace(VehicleConfig(), **_fields(v, _VEHICLE_KEYS))

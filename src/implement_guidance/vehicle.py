@@ -98,14 +98,30 @@ def yaw_rate_from_steer(steer: float, frenet: FrenetState, c: float,
 
 
 def measure(pose: VehiclePose, proj: Projection, path: ReferencePath,
-            cfg: VehicleConfig, imp: ImplementConfig, horizon: float) -> Measurements:
+            cfg: VehicleConfig, imp: ImplementConfig, horizon: float,
+            noise: tuple[float, float, float, Callable[[], float]] | None = None
+            ) -> Measurements:
     """Assemble the measurement bundle the controllers consume at the robot's
-    projection; c(s) is read from the segment it carries."""
+    projection; c(s) is read from the segment it carries.
+
+    `noise`, when given, is (y_std, theta_std, omega_std, z), z drawing
+    standard normals: y, theta_tilde and the yaw rate are measured with
+    0.0 + std * z() added (normal(0.0, std) bit for bit), drawn in that order,
+    and e_I is read from the noisy Frenet state.
+    """
     frenet = proj.frenet
+    s, y, theta_tilde = frenet
     c = path.segments[proj.segment].curvature
-    return _new_tuple(Measurements, (frenet, yaw_rate_from_steer(pose.steer, frenet, c, cfg),
-                                     implement_error_measured(frenet, imp), c,
-                                     path.curvature_ahead(frenet.s, horizon)))
+    omega = yaw_rate_from_steer(pose.steer, frenet, c, cfg)
+    if noise is not None:
+        y_std, theta_std, omega_std, z = noise
+        y += 0.0 + y_std * z()
+        theta_tilde += 0.0 + theta_std * z()
+        frenet = _new_tuple(FrenetState, (s, y, theta_tilde))
+        omega += 0.0 + omega_std * z()
+    # implement_error_measured, with its floats
+    e_I = y + imp.I_s * math.sin(theta_tilde) + imp.I_y * math.cos(theta_tilde)
+    return _new_tuple(Measurements, (frenet, omega, e_I, c, path.curvature_ahead(s, horizon)))
 
 
 def integrate_pose(pose: VehiclePose, steer_fn: Callable[[float], float],

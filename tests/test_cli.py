@@ -265,7 +265,11 @@ def test_bad_value_exits_2_with_line(tmp_path, capsys, body, line):
     p.write_text("format_version 1\n" + body)
     for command in (["validate", str(p)], ["--out-dir", str(tmp_path / "o"), "run", str(p)]):
         assert main(command) == 2
-        assert f"scenario error: line {line}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"scenario error: line {line}:" in err
+        # a rejected text is echoed cut to its first ECHO_CHARS characters:
+        # whole, the 5,000-digit seed makes a 5,050-character message
+        assert len(err) < 500
 
 
 @pytest.mark.parametrize("seed", ["-1", "1.7", "x",
@@ -275,7 +279,9 @@ def test_bad_seed_flag_exits_2(seed, capsys):
     with pytest.raises(SystemExit) as exc:
         main(run)
     assert exc.value.code == 2
-    assert f"argument --seed: {SEED_RULE}, got " in capsys.readouterr().err
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument --seed: {SEED_RULE}, got " in message
+    assert len(message) < 200  # not the 5,000 digits, echoed cut
 
 
 def test_seed_digit_limit_is_one_rule_for_the_file_and_the_flag(tmp_path, capsys):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from implement_guidance import controllers, harness
+from implement_guidance import controllers, harness, noise
 from implement_guidance.controllers import Controller
 from implement_guidance.errors import DomainError, ParameterError, SingularityError
 from implement_guidance.harness import (
@@ -161,26 +161,35 @@ def test_noisy_runs_differ_for_different_seed():
     assert not same_log(a, b)
 
 
-@pytest.mark.parametrize("block", [2, 7, harness.NOISE_BLOCK])
-def test_block_normals_equal_scalar_normal_draws(monkeypatch, block):
-    # a run uses 0.0 + std * z for normal(0.0, std): the same float, even
-    # across a block boundary
-    monkeypatch.setattr(harness, "NOISE_BLOCK", block)
-    for seed in (0, 1, 42, 2**40 + 5):
-        for std in (0.01, 0.005, 1.0, 3.7e-3, 0.0, 1e-300):
-            rng = np.random.default_rng(seed)
-            z = harness._standard_normals(np.random.default_rng(seed))
-            for _ in range(2 * block + 3):
-                assert (0.0 + std * next(z)).hex() == float(rng.normal(0.0, std)).hex()
-
-
-def test_noisy_run_independent_of_block_size(monkeypatch):
+def test_noisy_run_equals_a_run_on_numpys_stream(monkeypatch):
     scn = straight_scenario(path=build_experiment_path("exp1"), run_length=45.0, seed=7,
                             noise=NoiseSpec(enabled=True))
     default = run_scenario(scn)
-    monkeypatch.setattr(harness, "NOISE_BLOCK", 2)
+
+    def numpy_normals(seed):
+        rng = np.random.default_rng(seed)
+        while True:
+            yield float(rng.standard_normal())
+    monkeypatch.setattr(noise, "standard_normals", numpy_normals)
     assert same_log(run_scenario(scn), default)
     assert default.fault is None and len(default.segments) > 4000
+
+
+@pytest.mark.parametrize("block", [2, 7, 1024])
+def test_block_normals_equal_scalar_normal_draws(block):
+    # a run uses 0.0 + std * z for normal(0.0, std): the same float as numpy's
+    # scalar draw, and z the same as numpy's draws of a block at a time, across
+    # the block boundaries
+    for seed in (0, 1, 42, 2**40 + 5):
+        n = 2 * block + 3
+        blocks = np.random.default_rng(seed)
+        numpys = [z for _ in range(n // block + 1) for z in blocks.standard_normal(block).tolist()]
+        ours = list(itertools.islice(noise.standard_normals(seed), n))
+        assert [z.hex() for z in ours] == [z.hex() for z in numpys[:n]]
+        for std in (0.01, 0.005, 1.0, 3.7e-3, 0.0, 1e-300):
+            rng = np.random.default_rng(seed)
+            for z in ours:
+                assert (0.0 + std * z).hex() == float(rng.normal(0.0, std)).hex()
 
 
 def test_seed_ignored_when_noise_disabled():
@@ -367,7 +376,7 @@ def test_plant_step_calls_no_builtin_min_or_max(monkeypatch, which):
 def test_run_calls_the_names_the_benchmark_traces(monkeypatch):
     # bench/tracer.py patches these names where run_scenario looks them up:
     # one `step` per plant step, one `implement_error_exact` per record, and
-    # one `measure` and one `Controller.step` per control step
+    # one `measure` and one `Controller.step` per control step, noisy or not
     counts = Counter()
 
     def counting(name, fn):
@@ -378,13 +387,15 @@ def test_run_calls_the_names_the_benchmark_traces(monkeypatch):
     for name in ("step", "measure", "implement_error_exact"):
         monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
     monkeypatch.setattr(Controller, "step", counting("Controller.step", Controller.step))
-    scn = straight_scenario(run_length=20.0)
-    log = run_scenario(scn)
-    n = len(log.segments)
-    assert log.fault is None and log.column("s")[-1] >= scn.run_length
-    assert counts["step"] == n - 1
-    assert counts["implement_error_exact"] == n
-    assert counts["measure"] == counts["Controller.step"] == math.ceil(n / 10)
+    for spec in (NoiseSpec(), NoiseSpec(enabled=True)):
+        counts.clear()
+        scn = straight_scenario(run_length=20.0, noise=spec)
+        log = run_scenario(scn)
+        n = len(log.segments)
+        assert log.fault is None and log.column("s")[-1] >= scn.run_length
+        assert counts["step"] == n - 1
+        assert counts["implement_error_exact"] == n
+        assert counts["measure"] == counts["Controller.step"] == math.ceil(n / 10)
 
 
 # ------------------------------------------------------------------- faults

@@ -1,9 +1,10 @@
-"""numpy and the XML stack stay off the import path of runs that need neither.
+"""numpy and the XML stack stay off the import path of every run.
 
 Each case runs in a fresh interpreter, because this test process has
 imported both already.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -41,7 +42,7 @@ CASES = {
 }
 
 
-def _imported_after(case, out_dir, modules=("numpy", "xml.sax")):
+def _imported_after(case, out_dir, modules):
     done = subprocess.run(
         [sys.executable, "-c", PROBE.format(case=CASES[case], modules=modules),
          str(SCENARIOS), str(out_dir)],
@@ -50,16 +51,44 @@ def _imported_after(case, out_dir, modules=("numpy", "xml.sax")):
     return json.loads(done.stdout)
 
 
-@pytest.mark.parametrize("case", ["import_cli", "parse_every_scenario", "run_noise_off"])
+@pytest.mark.parametrize("case", ["import_cli", "parse_every_scenario", "run_noise_off",
+                                  "run_noise_on"])
 def test_numpy_and_xml_sax_not_imported(case, tmp_path):
-    assert _imported_after(case, tmp_path) == []
+    # and only a noisy run loads the noise module: its tables compile in
+    # every fresh interpreter that writes no bytecode
+    noise = "implement_guidance.noise"
+    loaded = [noise] if case == "run_noise_on" else []
+    assert _imported_after(case, tmp_path, ("numpy", "xml.sax", noise)) == loaded
 
 
-def test_noise_on_run_imports_numpy(tmp_path):
-    # the noisy outputs are fixed by numpy's PCG64 stream
-    assert _imported_after("run_noise_on", tmp_path) == ["numpy"]
+# an interpreter in which `import numpy` fails, as in an install without it
+NO_NUMPY = """\
+import sys
+sys.modules["numpy"] = None
+from implement_guidance.cli import main
+assert main(["--out-dir", sys.argv[2], "run", sys.argv[1]]) == 0
+assert main(["--out-dir", sys.argv[3], "--noise", "on", "--seed", "0",
+             "compare", "--placement", "rear"]) == 0
+"""
+
+
+def test_noisy_runs_without_numpy_give_the_golden_outputs(tmp_path):
+    run_dir, compare_dir = tmp_path / "run", tmp_path / "compare"
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, str(SCENARIOS / "noisy_exp1_rear_optimal.scn"),
+         str(run_dir), str(compare_dir)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    golden = json.loads((Path(__file__).resolve().parent / "golden_outputs.json").read_text())
+    names = [(run_dir, "run/noisy_exp1_rear_optimal/noise_on", name)
+             for name in ("run.csv", "summary.json")]
+    names += [(compare_dir, "compare/noise_on", f"run_rear_{method}.csv")
+              for method in ("lateral_servoing", "backstepping", "optimal")]
+    for out_dir, case, name in names:
+        digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        assert digest == golden[f"{case}/{name}"], name
 
 
 def test_cli_import_leaves_out_concurrent_futures(tmp_path):
     # compare and sweep run serially: a thread pool's import is start-up cost only
-    assert _imported_after("import_cli", tmp_path, modules=("concurrent.futures",)) == []
+    assert _imported_after("import_cli", tmp_path, ("concurrent.futures",)) == []

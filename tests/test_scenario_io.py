@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from implement_guidance.controllers import MAX_N_H, BaselineParams, OptimalParams
-from implement_guidance.errors import ScenarioError
+from implement_guidance.errors import ECHO_CHARS, ScenarioError, quoted
 from implement_guidance.harness import MAX_PLANT_STEPS
 from implement_guidance.presets import TABLE1, TABLE2
 from implement_guidance.scenario_io import parse_blocks, parse_scenario, resolved_config
@@ -330,3 +330,25 @@ def test_shipped_scenarios_parse(name):
     text = (Path(__file__).resolve().parent.parent / "scenarios" / name).read_text()
     scn = parse_scenario(text)
     assert scn.run_length <= scn.path.total_length
+
+
+@pytest.mark.parametrize("old, new, shown", [
+    ("length_m 30", "length_m {}", "9" * 300 + "x"),     # not a number
+    ("length_m 30", "length_m {}", "1e400" + "0" * 300),  # not finite
+    ("seed 7", "seed {}", "7" * 5000),
+    ("seed 7", "{} 1", "junk_" + "k" * 300),             # unknown key
+    ("[vehicle]", "[{}]", "b" * 300),                    # unknown block
+    ("kind=line", "kind={}", "q" * 300),                 # unknown segment kind
+], ids=["not_a_number", "not_finite", "seed_digits", "unknown_key", "unknown_block",
+        "unknown_segment_kind"])
+def test_rejected_text_is_echoed_cut_to_its_first_characters(old, new, shown):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(FULL.replace(old, new.format(shown)))
+    assert f"{shown[:ECHO_CHARS]!r}... ({len(shown)} characters)" in str(exc.value)
+    assert len(str(exc.value)) < 200
+
+
+def test_quoted_keeps_a_short_text_whole():
+    assert quoted("x" * ECHO_CHARS) == repr("x" * ECHO_CHARS)
+    assert quoted("a'b") == repr("a'b")
+    assert quoted(None) == "None"

@@ -446,3 +446,19 @@ def test_measure_bundle():
     assert m.curvature_at_horizon == 0.1
     assert m.e_I == implement_error_measured(m.frenet, REAR)
     assert m.omega_bar == pytest.approx(math.tan(0.1) / 1.2)
+
+
+def test_noisy_measure_draws_y_theta_omega_and_reads_e_I_from_the_noisy_state():
+    path = build_path([{"kind": "arc", "length_m": 10.0, "curvature_per_m": 0.1}])
+    pose = pose_on_path(path, 4.0, 0.2, 0.05, steer=0.1)
+    proj = Projection(FrenetState(4.0, 0.2, 0.05), 0)
+    clean = measure(pose, proj, path, CFG, REAR, 2.0)
+    z = iter([1.5, -2.0, 0.25]).__next__
+    m = measure(pose, proj, path, CFG, REAR, 2.0, (0.01, 0.005, 0.1, z))
+    # 0.0 + std * z is normal(0.0, std) bit for bit
+    assert m.frenet == (4.0, 0.2 + (0.0 + 0.01 * 1.5), 0.05 + (0.0 + 0.005 * -2.0))
+    assert m.omega_bar == clean.omega_bar + (0.0 + 0.1 * 0.25)
+    assert m.e_I == implement_error_measured(m.frenet, REAR)
+    assert (m.curvature_now, m.curvature_at_horizon) == (clean.curvature_now,
+                                                         clean.curvature_at_horizon)
+    assert clean.e_I == implement_error_measured(proj.frenet, REAR)
