@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: run, compare, sweep, validate. Exit codes: 0 success, 2 scenario
-validation error, 3 simulation fault, 1 unexpected error.
+validation error or an output that cannot be written, 3 simulation fault,
+1 unexpected error. `main` maps each failure to its code.
 """
 
 from __future__ import annotations
@@ -55,24 +56,21 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _read_scenario(file: str, **overrides) -> Scenario | None:
-    """The scenario in file, or None once the reason it is not valid is printed."""
+def _read_scenario(args) -> Scenario:
+    """The scenario file of args, with the --seed and --noise overrides; a
+    GuidanceError when it cannot be read, a ScenarioError when it is not valid."""
     try:
-        with open(file, encoding="utf-8") as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             text = fh.read()
-        return parse_scenario(text, **overrides)
     except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-    except (ScenarioError, UnicodeDecodeError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-    return None
+        raise GuidanceError(f"cannot read scenario: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(str(exc)) from exc
+    return parse_scenario(text, seed_override=args.seed, noise_override=_noise_flag(args))
 
 
 def cmd_run(args) -> int:
-    scn = _read_scenario(args.scenario, seed_override=args.seed,
-                         noise_override=_noise_flag(args))
-    if scn is None:
-        return EXIT_VALIDATION
+    scn = _read_scenario(args)
     out = _out_dir(args)  # made only once the scenario parsed
     log, summary = run_and_summarize(scn)
     with open(os.path.join(out, "run.csv"), "w") as fh:
@@ -132,16 +130,14 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     rows = TABLE2
-    if args.horizons:
+    if args.horizons is not None:
         try:
             wanted = {float(h) for h in args.horizons.split(",")}
         except ValueError:
-            print(f"error: bad --horizons value {quoted(args.horizons)}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise GuidanceError(f"bad --horizons value {quoted(args.horizons)}") from None
         rows = [p for p in TABLE2 if p.s_h in wanted]
         if not rows:
-            print("error: no Table II row matches --horizons", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise GuidanceError("no Table II row matches --horizons")
     out = _out_dir(args)  # made only once the horizons parsed
     path = build_experiment_path("exp2")
     points = []
@@ -161,10 +157,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scn = _read_scenario(args.scenario)
-    if scn is None:
-        return EXIT_VALIDATION
-    json.dump(resolved_config(scn), sys.stdout, indent=2, sort_keys=True)
+    json.dump(resolved_config(_read_scenario(args)), sys.stdout, indent=2, sort_keys=True)
     print()
     return EXIT_OK
 
@@ -216,8 +209,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ScenarioError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except GuidanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # reading the scenario and making --out-dir raise GuidanceError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"unexpected error: {exc}", file=sys.stderr)

@@ -108,7 +108,7 @@ class Projection(NamedTuple):
     frenet: FrenetState
     segment: int             # segment_index(frenet.s), found on the way
     clamped: bool = False    # nearest point was a path endpoint, s clamped
-    ambiguous: bool = False  # several minimizers (in the window), smallest s chosen
+    ambiguous: bool = False  # several minimizers in the window, smallest s chosen
 
 
 @dataclass(frozen=True)
@@ -174,15 +174,12 @@ class ReferencePath:
         x, y, h = seg.point_at(u)
         return (x, y), h, seg.curvature
 
-    def curvature_at(self, s: float) -> float:
-        return self.segments[self.segment_index(s)].curvature
-
     def curvature_ahead(self, s: float, ds: float) -> float:
         """Curvature at s + ds, clamped to the path end (preview lookup).
 
-        `curvature_at` of the clamped abscissa, less its range check: the
-        clamp leaves [0, total_length] only for NaN, which both send to the
-        last segment.
+        `point_at`'s curvature at the clamped abscissa, less its range check:
+        the clamp leaves [0, total_length] only for NaN, which both send to
+        the last segment.
         """
         s += ds
         s = 0.0 if 0.0 > s else s  # max(s + ds, 0.0)
@@ -193,25 +190,22 @@ class ReferencePath:
         return self.segments[last if last < k else k].curvature  # min(k, last)
 
     def project(self, position: tuple[float, float], heading: float,
-                s_hint: float | None = None) -> Projection:
-        """Closest-point projection of a world pose onto the path.
+                s_hint: float) -> Projection:
+        """Closest-point projection of a world pose onto the path, local to
+        `s_hint`, the caller's last abscissa (any float).
 
-        Without `s_hint`, returns the Frenet state at the global distance
-        minimizer, every segment evaluated; ties break to the smallest s
-        (flagged ambiguous); positions beyond the path ends clamp s to
-        [0, total_length] (flagged clamped).
-
-        With `s_hint` (the caller's last abscissa, any float), returns the
-        nearest point within a window around it instead, with the same ties
-        and flags: the segment k holding the hint and its neighbours k - 1
-        and k + 1. A neighbour is evaluated only when its bound passes: its
+        Returns the Frenet state at the nearest point within a window around
+        the hint; ties break to the smallest s (flagged ambiguous), and a foot
+        beyond a path end clamps s to [0, total_length] (flagged clamped). The
+        window is the segment k holding the hint and its neighbours k - 1 and
+        k + 1. A neighbour is evaluated only when its bound passes: its
         distance is at least |p - midpoint| - length/2, so one whose bound
         exceeds k's distance plus slack can neither win nor tie. While the
         winner sits on the window's outer junction (the start of its first
         segment or the end of its last), the window grows by one segment past
         that end, so s follows the foot across segments shorter than a step.
-        A hint thus keeps s on its row where another row, or another turn of
-        the path, is nearer.
+        The hint thus keeps s on its row where another row, or another turn
+        of the path, is nearer.
 
         k is projected first, and its distance is what the neighbours' bounds
         are held to. Where the foot's abscissa s stays on k and no bound
@@ -222,42 +216,37 @@ class ReferencePath:
         cum = self.cumulative_lengths
         total = self.total_length
         last = len(cum) - 1
-        if s_hint is None:
-            win, ambiguous = _nearest([self._candidate(i, px, py) for i in range(len(cum))])
+        k = bisect_right(cum, s_hint)
+        k = last if last < k else k  # min(k, last)
+        seg = self.segments[k]
+        u, clamp_best = _project_segment(seg, px, py)
+        s0 = cum[k - 1] if k > 0 else 0.0
+        # cumulative start + u: the same float as a running sum of lengths
+        s_best = s0 + u
+        s = total if total < s_best else s_best  # min(s_best, total)
+        on_k = s0 <= s < cum[k]
+        # on k, the point at s as `point_at(s)` finds it; else k's foot
+        qx, qy, th = seg.point_at(s - s0 if on_k else u)
+        cut = math.hypot(px - qx, py - qy) + _PRUNE_SLACK
+        # of k's neighbours, those whose bound passes can win or tie
+        bounds = self._bounds
+        before = after = None
+        if k > 0:
+            mx, my, half = bounds[k - 1]
+            if math.hypot(px - mx, py - my) - half <= cut:
+                before = self._candidate(k - 1, px, py)
+        if k < last:
+            mx, my, half = bounds[k + 1]
+            if math.hypot(px - mx, py - my) - half <= cut:
+                after = self._candidate(k + 1, px, py)
+        if on_k and not (before or after):
+            i, ambiguous = k, False
         else:
-            k = bisect_right(cum, s_hint)
-            k = last if last < k else k  # min(k, last)
-            seg = self.segments[k]
-            u, clamp_best = _project_segment(seg, px, py)
-            s0 = cum[k - 1] if k > 0 else 0.0
-            # cumulative start + u: the same float as a running sum of lengths
-            s_best = s0 + u
-            s = total if total < s_best else s_best  # min(s_best, total)
-            on_k = s0 <= s < cum[k]
-            # on k, the point at s as `point_at(s)` finds it; else k's foot
-            qx, qy, th = seg.point_at(s - s0 if on_k else u)
-            cut = math.hypot(px - qx, py - qy) + _PRUNE_SLACK
-            # of k's neighbours, those whose bound passes can win or tie
-            bounds = self._bounds
-            before = after = None
-            if k > 0:
-                mx, my, half = bounds[k - 1]
-                if math.hypot(px - mx, py - my) - half <= cut:
-                    before = self._candidate(k - 1, px, py)
-            if k < last:
-                mx, my, half = bounds[k + 1]
-                if math.hypot(px - mx, py - my) - half <= cut:
-                    after = self._candidate(k + 1, px, py)
-            if on_k and not (before or after):
-                win, i, ambiguous = None, k, False
-            else:
-                win, ambiguous = self._window(
-                    [cand for cand in (before, self._candidate(k, px, py), after) if cand],
-                    0 if 0 > k - 1 else k - 1,  # max(k - 1, 0)
-                    last if last < k + 1 else k + 1,  # min(k + 1, last)
-                    px, py)
-        if win is not None:
-            s_best, clamp_best = win[1], win[2]
+            (_, s_best, clamp_best, _, _), ambiguous = self._window(
+                [cand for cand in (before, self._candidate(k, px, py), after) if cand],
+                0 if 0 > k - 1 else k - 1,  # max(k - 1, 0)
+                last if last < k + 1 else k + 1,  # min(k + 1, last)
+                px, py)
             # the point at s as `point_at(s)` finds it, less the range check: s_best >= 0
             s = total if total < s_best else s_best  # min(s_best, total)
             # the segment holding s, as `segment_index` finds it (not the

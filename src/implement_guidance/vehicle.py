@@ -67,12 +67,12 @@ def implement_world_position(pose: VehiclePose, imp: ImplementConfig) -> tuple[f
 
 
 def implement_error_exact(pose: VehiclePose, imp: ImplementConfig, path: ReferencePath,
-                          s_hint: float | None = None) -> float:
+                          s_hint: float) -> float:
     """Ground-truth implement lateral error: project the implement point onto the path.
 
-    `s_hint` is passed to `ReferencePath.project`, which then returns the
-    nearest point in a window around it rather than on the whole path. The
-    point is `implement_world_position`, computed here with its floats.
+    `s_hint` is passed to `ReferencePath.project`, which returns the nearest
+    point in a window around it. The point is `implement_world_position`,
+    computed here with its floats.
     """
     x, y, heading, _ = pose
     ch, sh = math.cos(heading), math.sin(heading)

@@ -6,6 +6,7 @@ import random
 import numpy as np
 
 from implement_guidance.harness import RunLog
+from implement_guidance.paths import FrenetState, Projection, _project_segment, wrap_angle
 
 
 def column(log, name):
@@ -40,3 +41,47 @@ def edge_floats(limit, seed=0, n=40):
             math.nextafter(limit, math.inf), math.nextafter(limit, -math.inf)]
     return [math.nan, 0.0, -0.0, math.inf, -math.inf, *near, *(-v for v in near),
             *(rng.uniform(-2.0 * limit, 2.0 * limit) for _ in range(n))]
+
+
+def full_scan_segment_index(path, s):
+    """`segment_index` by a linear scan of the cumulative lengths."""
+    for i, c in enumerate(path.cumulative_lengths):
+        if s < c:
+            return i
+    return len(path.segments) - 1
+
+
+def scan(path, px, py, window):
+    """(distance, s, clamped, i, u) of the nearest point on each segment i in
+    window, s as a running sum of lengths; then the winner, at the smallest s
+    within 1e-9 m of the least distance, and whether that tie set holds
+    another s."""
+    candidates = []
+    s0 = 0.0
+    for i, seg in enumerate(path.segments):
+        if i in window:
+            u, clamped = _project_segment(seg, px, py)
+            x, y, _ = seg.point_at(u)
+            candidates.append((math.hypot(px - x, py - y), s0 + u, clamped, i, u))
+        s0 += seg.length
+    d_best = min(c[0] for c in candidates)
+    near = sorted((c for c in candidates if c[0] <= d_best + 1e-9), key=lambda c: c[1])
+    return near[0], any(abs(c[1] - near[0][1]) > 1e-6 for c in near[1:])
+
+
+def full_scan_project(path, position, heading, window=None):
+    """Reference projection: the global minimizer over every segment (of
+    window, if given), each evaluated exactly, with `project`'s tie-break
+    and flags."""
+    px, py = position
+    (_, s_best, clamp_best, _, _), ambiguous = scan(
+        path, px, py, range(len(path.segments)) if window is None else window)
+    clamped = clamp_best and (s_best <= 1e-12 or s_best >= path.total_length - 1e-12)
+    s_best = min(s_best, path.total_length)
+    i = full_scan_segment_index(path, s_best)
+    u = s_best - (path.cumulative_lengths[i - 1] if i > 0 else 0.0)
+    qx, qy, th = path.segments[i].point_at(u)
+    y_signed = -(px - qx) * math.sin(th) + (py - qy) * math.cos(th)
+    return Projection(frenet=FrenetState(s=s_best, y=y_signed,
+                                         theta_tilde=wrap_angle(heading - th)),
+                      segment=i, clamped=clamped, ambiguous=ambiguous)

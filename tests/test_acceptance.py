@@ -217,7 +217,7 @@ def test_criterion_6_model_consistency():
         pose = integrate_pose(pose, steer_of_t, i * dtp, dtp, CFG)
 
     def deriv(t, s, y, th):
-        c = path.curvature_at(min(s, path.total_length))
+        c = path.point_at(min(s, path.total_length))[2]
         denom = 1.0 - c * y
         return (v * math.cos(th) / denom, v * math.sin(th),
                 v * (math.tan(steer_of_t(t)) / L - c * math.cos(th) / denom))
@@ -232,7 +232,7 @@ def test_criterion_6_model_consistency():
         y += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         th += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         t += h
-    dy = abs(path.project((pose.x, pose.y_world), pose.heading).frenet.y - y)
+    dy = abs(path.project((pose.x, pose.y_world), pose.heading, s).frenet.y - y)
     a_ok = dy < 1e-5
 
     # (b) first/second error derivatives vs finite differences of simulated e_I
@@ -243,10 +243,10 @@ def test_criterion_6_model_consistency():
             p = p0
             for _ in range(n):
                 p = integrate_pose(p, lambda t: steer, 0.0, direction * hstep, CFG)
-                f = arc.project((p.x, p.y_world), p.heading).frenet
+                f = arc.project((p.x, p.y_world), p.heading, 10.0).frenet
                 ss.append(f.s)
                 es.append(implement_error_measured(f, imp))
-        f = arc.project((p0.x, p0.y_world), p0.heading).frenet
+        f = arc.project((p0.x, p0.y_world), p0.heading, 10.0).frenet
         ss.append(f.s)
         es.append(implement_error_measured(f, imp))
         order = np.argsort(ss)

@@ -71,6 +71,16 @@ def test_validate_ok(scn_file, capsys):
     assert cfg["controller"]["method"] == "optimal"
 
 
+def test_validate_applies_seed_and_noise_like_run(tmp_path, capsys):
+    flags = ["--seed", "7", "--noise", "on"]
+    scenario = str(SCENARIOS / "exp1_rear_optimal.scn")
+    assert main([*flags, "validate", scenario]) == 0
+    echoed = json.loads(capsys.readouterr().out)
+    assert (echoed["run"]["seed"], echoed["noise"]["enabled"]) == (7, True)
+    assert main([*flags, "--out-dir", str(tmp_path / "o"), "run", scenario]) == 0
+    assert echoed == json.loads((tmp_path / "o" / "summary.json").read_text())["scenario"]
+
+
 def test_validate_bad_scenario(tmp_path, capsys):
     p = tmp_path / "bad.scn"
     p.write_text("format_version 1\n[vehicle]\nmass_kg 10\n")
@@ -133,6 +143,22 @@ def test_unusable_out_dir_exits_2(command, below, scn_file, tmp_path, capsys):
         command = ["run", scn_file]
     assert main(["--out-dir", str(out)] + command) == 2
     assert "error: cannot create output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, first", [
+    (["run"], "run.csv"),
+    (["compare", "--placement", "rear"], "run_rear_lateral_servoing.csv"),
+    (["sweep", "--horizons", "0.5"], "sweep.json"),
+], ids=["run", "compare", "sweep"])
+def test_unwritable_output_exits_2(command, first, scn_file, tmp_path, capsys):
+    # the first output file's path is a directory
+    (tmp_path / "o" / first).mkdir(parents=True)
+    if command == ["run"]:
+        command = ["run", scn_file]
+    assert main(["--out-dir", str(tmp_path / "o")] + command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: [Errno 21] Is a directory: ")
+    assert first in err
 
 
 @pytest.mark.parametrize("scenario", ["missing", "bad"])
@@ -200,7 +226,9 @@ def test_batches_drop_each_log_before_the_next_run(tmp_path, monkeypatch, comman
 
 
 def test_sweep_bad_horizons(tmp_path, capsys):
-    assert main(["--out-dir", str(tmp_path / "x"), "sweep", "--horizons", "abc"]) == 2
+    for bad in ("abc", "", ","):
+        assert main(["--out-dir", str(tmp_path / "x"), "sweep", "--horizons", bad]) == 2
+        assert capsys.readouterr().err == f"error: bad --horizons value {bad!r}\n"
     assert main(["--out-dir", str(tmp_path / "x"), "sweep", "--horizons", "9.9"]) == 2
     assert not (tmp_path / "x").exists()
 

@@ -153,10 +153,10 @@ def _simulated_error_derivatives(path, s0, y0, th0, steer, imp=REAR, n=4, h=1e-3
         p = pose
         for i in range(1, n + 1):
             p = integrate_pose(p, lambda t: steer, 0.0, direction * h, CFG)
-            f = path.project((p.x, p.y_world), p.heading).frenet
+            f = path.project((p.x, p.y_world), p.heading, s0).frenet
             ss.append(f.s)
             es.append(implement_error_measured(f, imp))
-    f0 = path.project((pose.x, pose.y_world), pose.heading).frenet
+    f0 = path.project((pose.x, pose.y_world), pose.heading, s0).frenet
     ss.append(f0.s)
     es.append(implement_error_measured(f0, imp))
     order = np.argsort(ss)

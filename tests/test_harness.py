@@ -35,7 +35,7 @@ from implement_guidance.paths import ReferencePath, build_experiment_path, build
 from implement_guidance.presets import REAR_IMPLEMENT, TABLE1, TABLE2
 from implement_guidance.vehicle import ImplementConfig, VehicleConfig
 
-from support import column, log_of, same_log
+from support import column, full_scan_project, log_of, same_log
 
 CFG = VehicleConfig()
 
@@ -229,32 +229,27 @@ def _closed_loop_scenarios():
 
 
 def _run_with_and_without_hints(monkeypatch, scn):
-    """The run as it is, then with every `project` call's hint dropped, so
-    that each projection is the global minimizer; the hinted calls of each."""
-    hinted = []
+    """The run as it is, and its `project` calls; then the run with every
+    hint dropped, each projection the full-scan reference's global minimizer."""
+    calls = []
     project = ReferencePath.project
-
-    def counting_project(self, position, heading, s_hint=None):
-        if s_hint is not None:
-            hinted.append(s_hint)
-        return project(self, position, heading, s_hint)
-    monkeypatch.setattr(ReferencePath, "project", counting_project)
-    log = run_scenario(scn)
-    calls = len(hinted)
     monkeypatch.setattr(ReferencePath, "project",
-                        lambda self, position, heading, s_hint=None:
-                        counting_project(self, position, heading))
-    reference = run_scenario(scn)
-    return log, reference, calls, len(hinted) - calls
+                        lambda self, position, heading, s_hint:
+                        calls.append(s_hint) or project(self, position, heading, s_hint))
+    log = run_scenario(scn)
+    monkeypatch.setattr(ReferencePath, "project",
+                        lambda self, position, heading, s_hint:
+                        full_scan_project(self, position, heading))
+    return log, run_scenario(scn), len(calls)
 
 
 def test_hinted_and_full_projection_give_equal_runs(monkeypatch):
     logs = []
     for scn in _closed_loop_scenarios():
-        log, reference, hinted, hinted_without = _run_with_and_without_hints(monkeypatch, scn)
-        # both projections of a plant step (robot and implement) pass a hint:
-        # one per record, and one per step after all but the last record
-        assert hinted == 2 * len(log.segments) - 1 and hinted_without == 0
+        log, reference, calls = _run_with_and_without_hints(monkeypatch, scn)
+        # both projections of a plant step (robot and implement): one per
+        # record, and one per step after all but the last record
+        assert calls == 2 * len(log.segments) - 1
         assert log.fault is None and len(log.segments) > 3000
         assert same_log(log, reference)
         logs.append(log)
@@ -284,13 +279,12 @@ def test_hinted_run_follows_segments_shorter_than_a_step(monkeypatch):
         evaluated.append(i)
         return candidate(self, i, px, py)
 
-    def recording_project(self, position, heading, s_hint=None):
+    def recording_project(self, position, heading, s_hint):
         evaluated.clear()
         p = project(self, position, heading, s_hint)
-        if s_hint is not None:
-            k = min(bisect.bisect_right(self.cumulative_lengths, s_hint), len(path.segments) - 1)
-            assert len(set(evaluated)) == len(evaluated)
-            windows.append((min(k, p.segment) - 2, max(k, p.segment) + 2, list(evaluated)))
+        k = min(bisect.bisect_right(self.cumulative_lengths, s_hint), len(path.segments) - 1)
+        assert len(set(evaluated)) == len(evaluated)
+        windows.append((min(k, p.segment) - 2, max(k, p.segment) + 2, list(evaluated)))
         return p
     with monkeypatch.context() as mp:
         mp.setattr(ReferencePath, "_candidate", recording_candidate)
@@ -298,7 +292,7 @@ def test_hinted_run_follows_segments_shorter_than_a_step(monkeypatch):
         log = run_scenario(scn)
     assert all(lo <= i <= hi for lo, hi, seen in windows for i in seen)
     assert max(len(seen) for _, _, seen in windows) >= 5
-    log, reference, _, _ = _run_with_and_without_hints(monkeypatch, scn)
+    log, reference, _ = _run_with_and_without_hints(monkeypatch, scn)
     assert log.fault is None and len(log.segments) > 100
     assert same_log(log, reference)
     s = log.column("s")

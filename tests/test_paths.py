@@ -9,15 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 from implement_guidance.errors import PathConstructionError, RangeError
 from implement_guidance import paths
 from implement_guidance.paths import (
-    FrenetState,
     PathSegment,
-    Projection,
     ReferencePath,
     _project_segment,
     build_experiment_path,
     build_path,
     wrap_angle,
 )
+
+from support import full_scan_project, full_scan_segment_index, scan
 
 
 def line_arc_path():
@@ -100,16 +100,16 @@ def test_point_at_out_of_range():
         path.point_at(path.total_length + 0.1)
 
 
-# -------------------------------------------------------------- curvature_at
+# ----------------------------------------------------------------- curvature
 
 def test_curvature_values_and_junction_tiebreak():
     path = build_path([
         {"kind": "line", "length_m": 5.0},
         {"kind": "arc", "length_m": 2.0, "curvature_per_m": 0.2},
     ])
-    assert path.curvature_at(2.5) == 0.0
-    assert path.curvature_at(6.0) == 0.2        # radius-5 left turn
-    assert path.curvature_at(5.0) == 0.2        # junction -> later segment
+    assert path.point_at(2.5)[2] == 0.0
+    assert path.point_at(6.0)[2] == 0.2         # radius-5 left turn
+    assert path.point_at(5.0)[2] == 0.2         # junction -> later segment
     assert path.labels[path.segment_index(5.0)] == "C1"
     assert path.curvature_ahead(4.5, 1.0) == 0.2
     assert path.curvature_ahead(6.5, 100.0) == 0.2  # clamped to path end
@@ -117,7 +117,7 @@ def test_curvature_values_and_junction_tiebreak():
 
 def test_curvature_ahead_is_curvature_at_of_the_clamped_abscissa():
     # every segment has its own curvature, so equal curvatures mean the same
-    # segment; NaN passes the clamp and `curvature_at`'s range check alike
+    # segment; NaN passes the clamp and `point_at`'s range check alike
     path = build_path([
         {"kind": "line", "length_m": 5.0},
         {"kind": "arc", "length_m": 2.0, "curvature_per_m": 0.2},
@@ -134,7 +134,7 @@ def test_curvature_ahead_is_curvature_at_of_the_clamped_abscissa():
     for s in abscissae:
         for ds in offsets:
             assert (path.curvature_ahead(s, ds)
-                    == path.curvature_at(min(max(s + ds, 0.0), total))), (s, ds)
+                    == path.point_at(min(max(s + ds, 0.0), total))[2]), (s, ds)
     assert path.curvature_ahead(math.nan, 0.0) == 1.0 / 12.0
 
 
@@ -142,7 +142,7 @@ def test_curvature_ahead_is_curvature_at_of_the_clamped_abscissa():
 
 def test_project_line_offset():
     path = build_path([{"kind": "line", "length_m": 10.0}])
-    p = path.project((3.0, 0.4), 0.0)
+    p = path.project((3.0, 0.4), 0.0, 3.0)
     assert abs(p.frenet.s - 3.0) < 1e-12
     assert abs(p.frenet.y - 0.4) < 1e-12
     assert p.frenet.theta_tilde == 0.0
@@ -153,7 +153,7 @@ def test_project_identity_on_path():
     path = line_arc_path()
     for s in [1.0, 12.0, 20.0]:
         (x, y), h, _ = path.point_at(s)
-        p = path.project((x, y), h)
+        p = path.project((x, y), h, s)
         assert abs(p.frenet.s - s) < 1e-9
         assert abs(p.frenet.y) < 1e-9
         assert abs(p.frenet.theta_tilde) < 1e-12
@@ -161,9 +161,9 @@ def test_project_identity_on_path():
 
 def test_project_clamps_beyond_ends():
     path = build_path([{"kind": "line", "length_m": 10.0}])
-    p = path.project((-1.0, 0.3), 0.0)
+    p = path.project((-1.0, 0.3), 0.0, 0.0)
     assert p.clamped and p.frenet.s == 0.0
-    p = path.project((11.0, -0.3), 0.0)
+    p = path.project((11.0, -0.3), 0.0, 10.0)
     assert p.clamped and p.frenet.s == 10.0
 
 
@@ -222,7 +222,7 @@ def test_project_matches_dense_oracle(preset):
         d = rng.uniform(-band, band)
         (x, y), h, _ = path.point_at(s)
         px, py = x - d * math.sin(h), y + d * math.cos(h)
-        p = path.project((px, py), h)
+        p = path.project((px, py), h, s)
         s_star = _oracle_project(path, px, py)
         assert abs(p.frenet.s - s_star) < 1e-6
         (qx, qy), th, _ = path.point_at(s_star)
@@ -238,7 +238,7 @@ def test_project_round_trip_property():
         s = rng.uniform(0.1, path.total_length - 0.1)
         d = rng.uniform(-band, band)
         (x, y), h, _ = path.point_at(s)
-        p = path.project((x - d * math.sin(h), y + d * math.cos(h)), h)
+        p = path.project((x - d * math.sin(h), y + d * math.cos(h)), h, s)
         assert abs(p.frenet.s - s) < 1e-9
         assert abs(p.frenet.y - d) < 1e-9
         assert abs(p.frenet.theta_tilde) < 1e-12
@@ -251,8 +251,9 @@ def test_project_ambiguity_flag():
         {"kind": "arc", "length_m": math.pi / 0.5, "curvature_per_m": 0.5},
         {"kind": "line", "length_m": 10.0},
     ])
-    # center of the U: equidistant from both straights; smallest s wins
-    p = path.project((5.0, 2.0), 0.0)
+    # center of the U: equidistant from both straights; smallest s wins. A
+    # hint on the turn puts both in the window
+    p = path.project((5.0, 2.0), 0.0, 10.0 + math.pi)
     assert p.ambiguous
     assert p.frenet.s < 10.0
 
@@ -343,48 +344,7 @@ def test_segment_rejects_non_finite_geometry(field, value):
         PathSegment(**kwargs)
 
 
-# ------------------------------------------- pruned projection vs full scan
-
-def _full_scan_segment_index(path, s):
-    for i, c in enumerate(path.cumulative_lengths):
-        if s < c:
-            return i
-    return len(path.segments) - 1
-
-
-def _scan(path, px, py, window):
-    """(distance, s, clamped, i, u) of the nearest point on each segment i in
-    window, s as a running sum of lengths; then the winner, at the smallest s
-    within 1e-9 m of the least distance, and whether that tie set holds
-    another s."""
-    candidates = []
-    s0 = 0.0
-    for i, seg in enumerate(path.segments):
-        if i in window:
-            u, clamped = _project_segment(seg, px, py)
-            x, y, _ = seg.point_at(u)
-            candidates.append((math.hypot(px - x, py - y), s0 + u, clamped, i, u))
-        s0 += seg.length
-    d_best = min(c[0] for c in candidates)
-    near = sorted((c for c in candidates if c[0] <= d_best + 1e-9), key=lambda c: c[1])
-    return near[0], any(abs(c[1] - near[0][1]) > 1e-6 for c in near[1:])
-
-
-def _full_scan_project(path, position, heading, window=None):
-    """Reference: every segment (of window, if given) evaluated exactly."""
-    px, py = position
-    (_, s_best, clamp_best, _, _), ambiguous = _scan(
-        path, px, py, range(len(path.segments)) if window is None else window)
-    clamped = clamp_best and (s_best <= 1e-12 or s_best >= path.total_length - 1e-12)
-    s_best = min(s_best, path.total_length)
-    i = _full_scan_segment_index(path, s_best)
-    u = s_best - (path.cumulative_lengths[i - 1] if i > 0 else 0.0)
-    qx, qy, th = path.segments[i].point_at(u)
-    y_signed = -(px - qx) * math.sin(th) + (py - qy) * math.cos(th)
-    return Projection(frenet=FrenetState(s=s_best, y=y_signed,
-                                         theta_tilde=wrap_angle(heading - th)),
-                      segment=i, clamped=clamped, ambiguous=ambiguous)
-
+# ------------------------------------------------ projection vs full scan
 
 def serpentine(rows, row, radius, start=(0.0, 0.0), start_heading=0.0, entry=()):
     """Rows joined by alternating 180-degree headland arcs: rows 2*radius apart,
@@ -412,53 +372,59 @@ def _offset_point(path, s, d):
     return x - d * math.sin(h), y + d * math.cos(h), h
 
 
-def _assert_same_projection(path, px, py, heading):
-    assert path.project((px, py), heading) == _full_scan_project(path, (px, py), heading)
-
-
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(SERPENTINES), st.floats(-0.05, 1.05), st.floats(-4.0, 4.0),
        st.floats(-math.pi, math.pi))
 def test_project_equals_full_scan_near_the_path(path, frac, d, heading):
-    # frac beyond [0, 1] puts the point past either end (clamped)
-    px, py, _ = _offset_point(path, frac * path.total_length, d)
-    _assert_same_projection(path, px, py, heading)
+    # frac beyond [0, 1] puts the point past either end (clamped); the hint
+    # is the abscissa the point was offset from
+    s = frac * path.total_length
+    px, py, _ = _offset_point(path, s, d)
+    assert (path.project((px, py), heading, s)
+            == _window_scan_project(path, (px, py), heading, s))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(SERPENTINES), st.integers(0, 5), st.floats(0.0, 1.0))
 def test_project_equals_full_scan_between_rows(path, k, frac):
-    # midway between row k and row k + 1: equidistant from both (ambiguous)
+    # midway between row k and the row to its left (k + 1 for even k, k - 1
+    # for odd): equidistant from both (ambiguous); a hint on the headland
+    # turn between them puts both in the window
     row = path.segments[2 * k]
     u = frac * row.length
     px, py, h = row.point_at(u)
-    spacing = 2.0 / abs(path.segments[2 * k + 1].curvature)
+    turn = 2 * k + 1 if k % 2 == 0 else 2 * k - 1
+    spacing = 2.0 / abs(path.segments[turn].curvature)
     px, py = px - spacing / 2 * math.sin(h), py + spacing / 2 * math.cos(h)
-    _assert_same_projection(path, px, py, h)
-    assert path.project((px, py), h).ambiguous
+    hint = path.cumulative_lengths[turn] - path.segments[turn].length / 2
+    p = path.project((px, py), h, hint)
+    assert p == _window_scan_project(path, (px, py), h, hint)
+    assert p.ambiguous
 
 
 def test_project_equals_full_scan_at_junctions_and_ends():
     for path in SERPENTINES:
-        points = [_offset_point(path, s + ds, d)
+        # (point, hint): the hint is the abscissa the point was offset from
+        points = [(_offset_point(path, s + ds, d), s + ds)
                   for s in (0.0, *path.cumulative_lengths)
                   for ds in (-1e-7, 0.0, 1e-7, -2.0, 2.0)
                   for d in (-4.0, -1e-9, 0.0, 1e-9, 2.0, 4.0)]
         # headland arc centers are equidistant from a whole arc
-        points += [(*seg._center, 0.0) for seg in path.segments[1::2]]
-        projections = [path.project((px, py), h) for px, py, h in points]
-        for (px, py, h), p in zip(points, projections):
-            assert p == _full_scan_project(path, (px, py), h)
+        points += [((*seg._center, 0.0), path.cumulative_lengths[i] - seg.length / 2)
+                   for i, seg in enumerate(path.segments) if i % 2]
+        projections = [path.project((px, py), h, hint) for (px, py, h), hint in points]
+        for ((px, py, h), hint), p in zip(points, projections):
+            assert p == _window_scan_project(path, (px, py), h, hint)
         assert any(p.clamped for p in projections)
         assert any(p.ambiguous for p in projections)
 
 
 def test_project_tail_reuses_the_winning_point_only_when_exact(monkeypatch):
-    # a hinted call whose foot stays on its hint's segment k projects k once
-    # and evaluates one point, at u = s - s0: that point is the result. Every
+    # a call whose foot stays on its hint's segment k projects k once and
+    # evaluates one point, at u = s - s0: that point is the result. Every
     # other call takes the tail, which evaluates its result point once, on
-    # the segment its own bisect names; a hinted call there has also
-    # evaluated k's point in place and one point per candidate, k's included
+    # the segment its own bisect names, after k's point in place and one
+    # point per candidate, k's included
     calls = []
     point_at, candidate = PathSegment.point_at, ReferencePath._candidate
     project_segment = paths._project_segment
@@ -471,24 +437,20 @@ def test_project_tail_reuses_the_winning_point_only_when_exact(monkeypatch):
                         lambda seg, *a: calls.append(("segment", seg)) or project_segment(seg, *a))
     monkeypatch.setattr(ReferencePath, "_window",
                         lambda path, *a: calls.append(("window",)) or window(path, *a))
-    tails, stayed = set(), 0
+    stayed = 0
     for path in PROJECTION_PATHS:
         cum = path.cumulative_lengths
         for s in (0.0, *cum):
             for ds in (-2.0, -1e-9, 0.0, 1e-9, 2.0):
                 for d in (-2.0, 0.0, 1e-9, 1.5):
                     px, py, h = _offset_point(path, s + ds, d)
-                    expected = _full_scan_project(path, (px, py), h)
-                    for hint in (None, s, s - 1e-6, s + 1e-6):
+                    expected = full_scan_project(path, (px, py), h)
+                    for hint in (s, s - 1e-6, s + 1e-6):
                         calls.clear()
                         p = path.project((px, py), h, hint)
                         assert p == expected
                         points = [call for call in calls if call[0] == "point"]
                         candidates = calls.count(("candidate",))
-                        if hint is None:
-                            # one point per candidate, plus one when the tail falls back
-                            tails.add(len(points) - candidates)
-                            continue
                         k = min(bisect.bisect_right(cum, hint), len(cum) - 1)
                         seg = path.segments[k]
                         s0 = cum[k - 1] if k > 0 else 0.0
@@ -500,22 +462,18 @@ def test_project_tail_reuses_the_winning_point_only_when_exact(monkeypatch):
                         assert calls.count(("segment", seg)) == 2
                         assert ("window",) in calls
                         assert len(points) == candidates + 2
-    assert tails == {1}
     assert stayed > 100
 
 
 @pytest.mark.parametrize("path", [build_experiment_path("exp1"),
                                   build_path([{"kind": "line", "length_m": 10.0}])],
                          ids=["exp1", "one_line"])
-def test_project_of_a_nan_position_without_a_hint_equals_the_hinted_call(path):
-    # every distance is NaN, so no candidate is within 1e-9 m of the least;
-    # without a hint, a path of two or more segments then had no winner
-    hinted = path.project((math.nan, 0.0), 0.0, 0.0)
-    unhinted = path.project((math.nan, 0.0), 0.0)
-    assert _hex(unhinted) == _hex(hinted)
-    assert math.isnan(hinted.frenet.s) and math.isnan(hinted.frenet.y)
-    assert (hinted.segment, hinted.clamped, hinted.ambiguous) == (len(path.segments) - 1,
-                                                                  False, False)
+def test_project_of_a_nan_position_gives_nan_on_the_last_segment(path):
+    # every distance is NaN, so no candidate is within 1e-9 m of the least,
+    # and `_nearest` falls back to its first candidate
+    p = path.project((math.nan, 0.0), 0.0, 0.0)
+    assert math.isnan(p.frenet.s) and math.isnan(p.frenet.y)
+    assert (p.segment, p.clamped, p.ambiguous) == (len(path.segments) - 1, False, False)
 
 
 def test_nearest_takes_the_smallest_s_within_1e_9_of_the_least_distance():
@@ -542,13 +500,15 @@ def test_nearest_takes_the_smallest_s_within_1e_9_of_the_least_distance():
 
 
 def test_project_tail_keeps_the_sign_of_a_zero_abscissa():
-    # the winner's u is -0.0 here and the tail's s - s0 is 0.0: equal, but
-    # point_at of the two differs in the sign of y, so the tail recomputes
-    path = build_path([{"kind": "line", "length_m": 5.0}], start=(0.0, -0.0),
+    # the winner's u is -0.0 here and s - s0 is 0.0: equal, but point_at of
+    # the two differs in the sign of y, so the result's point is evaluated at
+    # s - s0. A hint on the first line takes the fast path; one on the
+    # second evaluates the first as a neighbour and takes the tail
+    path = build_path([{"kind": "line", "length_m": 5.0}] * 2, start=(0.0, -0.0),
                       start_heading=-0.0)
-    for hint in (None, 0.0):
+    for hint in (0.0, 5.0):
         p = path.project((-0.0, -0.0), 0.0, hint)
-        expected = _full_scan_project(path, (-0.0, -0.0), 0.0)
+        expected = full_scan_project(path, (-0.0, -0.0), 0.0)
         assert [v.hex() for v in p.frenet] == [v.hex() for v in expected.frenet]
         assert p.frenet.y.hex() == "0x0.0p+0"
 
@@ -559,16 +519,16 @@ def test_projection_segment_where_two_cumulative_lengths_are_equal():
     path = build_path([{"kind": "line", "length_m": 1e17}, {"kind": "line", "length_m": 1.0}])
     assert path.cumulative_lengths[0] == path.cumulative_lengths[1]
     for x in (1e17 - 64.0, 1e17, 1e17 + 0.5, 1e17 + 64.0):
-        for hint in (None, 0.0, 1e17):
+        for hint in (0.0, 1e17):
             p = path.project((x, 1.0), 0.0, hint)
-            assert p == _full_scan_project(path, (x, 1.0), 0.0)
+            assert p == full_scan_project(path, (x, 1.0), 0.0)
             assert p.segment == path.segment_index(p.frenet.s)
 
 
 @given(st.sampled_from(SERPENTINES), st.floats(0.0, 1.0))
 def test_segment_index_equals_linear_scan(path, frac):
     for s in (frac * path.total_length, *path.cumulative_lengths, 0.0):
-        assert path.segment_index(s) == _full_scan_segment_index(path, s)
+        assert path.segment_index(s) == full_scan_segment_index(path, s)
 
 
 # ------------------------------------------ hinted projection vs window scan
@@ -593,16 +553,16 @@ def _window_scan_project(path, position, heading, s_hint):
     while the winner sits on that end's outer junction."""
     px, py = position
     last = len(path.segments) - 1
-    k = _full_scan_segment_index(path, s_hint)
+    k = full_scan_segment_index(path, s_hint)
     lo, hi = max(k - 1, 0), min(k + 1, last)
     while True:
-        (_, _, _, i, u), _ = _scan(path, px, py, range(lo, hi + 1))
+        (_, _, _, i, u), _ = scan(path, px, py, range(lo, hi + 1))
         if i == lo and u == 0.0 and lo > 0:
             lo -= 1
         elif i == hi and u == path.segments[hi].length and hi < last:
             hi += 1
         else:
-            return _full_scan_project(path, position, heading, range(lo, hi + 1))
+            return full_scan_project(path, position, heading, range(lo, hi + 1))
 
 
 # (kind, value): an offset from the true s, a fraction of the path length
@@ -637,17 +597,17 @@ def test_hinted_project_equals_full_scan(path, frac, r, heading, offset):
     s = frac * path.total_length
     px, py, _ = _offset_point(path, s, r * path.min_arc_radius())
     assert (path.project((px, py), heading, s + offset)
-            == _full_scan_project(path, (px, py), heading))
+            == full_scan_project(path, (px, py), heading))
 
 
 def test_hinted_project_keeps_s_on_its_row():
     # 3.5 m off row 1 of rows 6 m apart: row 2 is nearer, but a hint on row 1
-    # keeps the foot there; without one the global minimizer is on row 2
+    # keeps the foot there, where the global minimizer is on row 2
     path = SERPENTINES[0]
     px, py, h = _offset_point(path, 10.0, 3.5)
-    assert path.project((px, py), h, 10.0) == _full_scan_project(path, (px, py), h, [0, 1])
+    assert path.project((px, py), h, 10.0) == full_scan_project(path, (px, py), h, [0, 1])
     assert path.project((px, py), h, 10.0).frenet.s == pytest.approx(10.0, abs=1e-12)
-    assert path.project((px, py), h).frenet.s > path.cumulative_lengths[1]
+    assert full_scan_project(path, (px, py), h).frenet.s > path.cumulative_lengths[1]
 
 
 def _hex(p):
@@ -706,7 +666,7 @@ def test_hinted_foot_equals_full_scan_by_hex():
                 hits["u_length"] += not clamped and u == length
                 hits["negative_zero_u"] += u == 0.0 and math.copysign(1.0, u) < 0
                 hits["rounded_u"] += abs((s0 + u) - s0 - u) > 100 * math.ulp(u)
-                expected = _hex(_full_scan_project(path, (px, py), 0.4))
+                expected = _hex(full_scan_project(path, (px, py), 0.4))
                 for hint in (-0.0, s0, s0 + length, math.nan):
                     assert _hex(path.project((px, py), 0.4, hint)) == expected
     assert all(hits.values()), hits

@@ -84,15 +84,15 @@ def test_implement_world_position_rotations():
 def test_implement_error_exact_on_straight():
     path = straight()
     pose = pose_on_path(path, 10.0)
-    assert abs(implement_error_exact(pose, ImplementConfig(-2.0, 0.0), path)) < 1e-12
-    assert abs(implement_error_exact(pose, ImplementConfig(-2.0, -0.5), path) + 0.5) < 1e-12
+    assert abs(implement_error_exact(pose, ImplementConfig(-2.0, 0.0), path, 8.0)) < 1e-12
+    assert abs(implement_error_exact(pose, ImplementConfig(-2.0, -0.5), path, 8.0) + 0.5) < 1e-12
 
 
 def test_implement_error_exact_on_arc_chord():
     R = 10.0
     path = build_path([{"kind": "arc", "length_m": R * math.pi, "curvature_per_m": 1.0 / R}])
     pose = pose_on_path(path, R * math.pi / 2)
-    e = implement_error_exact(pose, ImplementConfig(-2.0, 0.0), path)
+    e = implement_error_exact(pose, ImplementConfig(-2.0, 0.0), path, R * math.pi / 2 - 2.0)
     assert abs(e - (R - math.sqrt(R * R + 4.0))) < 1e-9
 
 
@@ -115,7 +115,7 @@ def test_measured_vs_exact_small_angles():
         y = rng.uniform(-0.5, 0.5)
         th = rng.uniform(-0.1, 0.1)
         pose = pose_on_path(path, 10.0, lateral=y, heading_offset=th)
-        exact = implement_error_exact(pose, REAR, path)
+        exact = implement_error_exact(pose, REAR, path, 10.0 + REAR.I_s)
         measured = implement_error_measured(FrenetState(10.0, y, th), REAR)
         assert abs(measured - exact) <= 5e-3
 
@@ -133,7 +133,8 @@ def test_arc_floor_of_the_measured_error(imp):
         frenet = FrenetState(s, -imp.I_y, 0.0)
         assert implement_error_measured(frenet, imp) == 0.0
         pose = pose_on_path(path, s, lateral=-imp.I_y)
-        floor = implement_error_exact(pose, imp, path) - implement_error_measured(frenet, imp)
+        floor = (implement_error_exact(pose, imp, path, s + imp.I_s)
+                 - implement_error_measured(frenet, imp))
         c, R = arc.curvature, 1.0 / abs(arc.curvature)
         assert floor == pytest.approx(math.copysign(1.0, c) * (R - math.hypot(R, imp.I_s)),
                                       abs=1e-9)
@@ -146,20 +147,20 @@ def test_arc_floor_of_the_measured_error(imp):
 def test_yaw_rate_from_steer():
     path = straight()
     f = FrenetState(5.0, 0.0, 0.0)
-    assert yaw_rate_from_steer(0.0, f, path.curvature_at(f.s), CFG) == 0.0
-    assert abs(yaw_rate_from_steer(0.2, f, path.curvature_at(f.s), CFG)
+    assert yaw_rate_from_steer(0.0, f, path.point_at(f.s)[2], CFG) == 0.0
+    assert abs(yaw_rate_from_steer(0.2, f, path.point_at(f.s)[2], CFG)
                - math.tan(0.2) / 1.2) < 1e-12
     R = 10.0
     arc = build_path([{"kind": "arc", "length_m": R * math.pi, "curvature_per_m": 1.0 / R}])
     delta = math.atan(CFG.wheelbase / R)
-    assert abs(yaw_rate_from_steer(delta, FrenetState(5.0, 0.0, 0.0), arc.curvature_at(5.0),
+    assert abs(yaw_rate_from_steer(delta, FrenetState(5.0, 0.0, 0.0), arc.point_at(5.0)[2],
                                    CFG)) < 1e-12
 
 
 def test_yaw_rate_singularity_guard():
     arc = build_path([{"kind": "arc", "length_m": 3.0, "curvature_per_m": 1.0}])
     with pytest.raises(SingularityError):
-        yaw_rate_from_steer(0.0, FrenetState(1.0, 1.0, 0.0), arc.curvature_at(1.0), CFG)
+        yaw_rate_from_steer(0.0, FrenetState(1.0, 1.0, 0.0), arc.point_at(1.0)[2], CFG)
 
 
 # -------------------------------------------------------------------- step()
@@ -216,7 +217,7 @@ def test_frenet_projection_matches_curvilinear_model():
 
     # curvilinear model: RK4 at dt = 1e-4 from the same initial state
     def deriv(t, s, y, th):
-        c = path.curvature_at(min(s, path.total_length))
+        c = path.point_at(min(s, path.total_length))[2]
         denom = 1.0 - c * y
         sdot = v * math.cos(th) / denom
         ydot = v * math.sin(th)
@@ -237,7 +238,7 @@ def test_frenet_projection_matches_curvilinear_model():
         th += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         t += h
 
-    proj = path.project((pose.x, pose.y_world), pose.heading)
+    proj = path.project((pose.x, pose.y_world), pose.heading, s)
     assert abs(proj.frenet.y - y) < 1e-5
     assert abs(proj.frenet.s - s) < 1e-4
 
