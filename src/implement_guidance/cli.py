@@ -26,7 +26,7 @@ from .harness import (
 from .paths import ReferencePath, build_experiment_path
 from .presets import TABLE1, TABLE2
 from .scenario_io import SEED_RULE, is_seed, parse_scenario, resolved_config
-from .svgplot import comparison_figure, sweep_figure
+from .svgplot import comparison_figure, m4, sweep_figure
 from .vehicle import VehicleConfig
 
 EXIT_OK = 0
@@ -97,7 +97,7 @@ def cmd_compare(args) -> int:
     path = build_experiment_path("exp1")
     placements = (args.placement,) if args.placement else ("front", "rear")
     rows = []
-    per_placement: dict[str, dict] = {}  # the figure's series
+    per_placement: dict[str, dict] = {}  # the figure's series, as their M4 points
     for placement, method, log, summary in compare_methods(_base_scenario(args, path),
                                                            placements):
         csv = f"run_{placement}_{method}.csv"
@@ -108,8 +108,8 @@ def cmd_compare(args) -> int:
                      "reconstruction": method != "optimal", "summary": summary,
                      "max_junction_overshoot_m": max(overshoot.values()) if overshoot else 0.0,
                      "fault": log.fault, "csv": csv})
-        per_placement.setdefault(placement, {})[method] = {
-            "s": log.column("s"), "e": log.column("e_I_exact"), "summary": summary}
+        s, e = m4(log.column("s"), log.column("e_I_exact"))
+        per_placement.setdefault(placement, {})[method] = {"s": s, "e": e, "summary": summary}
         del log  # before the next run starts
     ratios = {}
     for placement in placements:

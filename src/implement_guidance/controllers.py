@@ -44,6 +44,10 @@ class OptimalParams:
         if n_h > MAX_N_H:
             raise ParameterError(f"the horizon has n_h = {n_h} samples, "
                                  f"above the limit {MAX_N_H}", "s_h", "s_t")
+        u = n_h * self.s_t  # the horizon's last sample, as sigma_terms computes it
+        if not u * u > 0.0:
+            raise ParameterError(f"s_t = {self.s_t!r} m is too small: sigma2, the sum of "
+                                 f"the horizon's (k s_t)^2, underflows to 0", "s_t", "s_h")
         object.__setattr__(self, "n_h", n_h)
 
 

@@ -13,7 +13,8 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from itertools import compress, groupby
+from itertools import compress, groupby, islice
+from operator import le
 
 from .controllers import CONTROLLERS, BaselineParams, Controller, OptimalParams
 from .errors import ParameterError, SingularityError, require_positive
@@ -251,8 +252,8 @@ def _quantile(xs: list[float], q: float) -> float:
 
 
 def _median(xs: list[float]) -> float:
-    """np.median: the middle value, or the mean of the middle two."""
-    xs = sorted(xs)
+    """np.median of an ascending list: the middle value, or the mean of the
+    middle two."""
     mid = len(xs) // 2
     return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
 
@@ -269,39 +270,60 @@ def summarize(log: RunLog, junctions: tuple[float, ...] = (),
     """
     if not log.segments:
         raise ParameterError("cannot summarize an empty log")
-    s = log.column("s")
+    # |e_I| is boxed once, in log order; each segment's list and the sample
+    # share its floats, and the sample is e itself, sorted last
     e = list(map(abs, log.column("e_I_exact")))
-    start = s[0] + SKIP_S
-    sample = sorted(list(compress(e, [x >= start for x in s])) or e)
-    per_segment = {}
+    spans = {}  # label -> (start, end) of each of its visits
     i = 0
-    for label, run in groupby(log.segments):  # one run per segment visit
+    for label, run in groupby(log.segments):
         j = i + len(list(run))
-        per_segment.setdefault(label, []).extend(e[i:j])
+        spans.setdefault(label, []).append((i, j))
         i = j
+    per_segment = {}
+    for label, ((a, b), *more) in spans.items():
+        part = e[a:b]
+        for a, b in more:
+            part += e[a:b]
+        part.sort()
+        per_segment[label] = _median(part)
+        del part  # before the next label's list is cut
+    s = log.column("s")
+    start = s[0] + SKIP_S
+    # one C-level pass; a run's s never falls, a log read from a CSV may
+    rising = all(map(le, s, islice(s, 1, None)))
     overshoot = {}
     if junctions:
-        # s need not be monotone along the log, so windows are cut from the
-        # records sorted by s
-        order = sorted(range(len(s)), key=s.__getitem__)
-        by_s = [s[k] for k in order]
+        if rising:
+            by_s, e_by_s = s, e
+        else:  # cut the windows from the records sorted by s
+            order = sorted(range(len(s)), key=s.__getitem__)
+            by_s = [s[k] for k in order]
+            e_by_s = [e[k] for k in order]
+            del order
         for sj in junctions:
             # s - sj rounds monotonically in s, so the records that pass the
             # window test abs(s - sj) <= window are one run of by_s
             lo = bisect_left(by_s, True, key=lambda x: x - sj >= -window)
             hi = bisect_left(by_s, True, key=lambda x: x - sj > window)
             if lo < hi:
-                overshoot[f"{sj:.6g}"] = max([e[k] for k in order[lo:hi]])
+                overshoot[f"{sj:.6g}"] = max(e_by_s[lo:hi])
+        del by_s, e_by_s
+    if not rising:
+        e = list(compress(e, map(start.__le__, s))) or e
+    elif (k := bisect_left(s, start)) < len(e):  # the sample is a suffix of the log
+        del e[:k]
+    del s
+    e.sort()
     return {
-        "median_abs_e_m": _quantile(sample, 0.5),
-        "q25_m": _quantile(sample, 0.25),
-        "q75_m": _quantile(sample, 0.75),
-        "max_abs_e_m": sample[-1],
-        "per_segment_median_m": {k: _median(v) for k, v in per_segment.items()},
+        "median_abs_e_m": _quantile(e, 0.5),
+        "q25_m": _quantile(e, 0.25),
+        "q75_m": _quantile(e, 0.75),
+        "max_abs_e_m": e[-1],
+        "per_segment_median_m": per_segment,
         # junction abscissa (str key) -> max |e_I| in its window
         "junction_overshoot_m": overshoot,
-        "fault_count": sum(log.faults),
-        "n_samples": len(sample),
+        "fault_count": log.faults.count(1),
+        "n_samples": len(e),
     }
 
 
@@ -344,20 +366,26 @@ def write_csv(log: RunLog, fh) -> None:
     round-trip formatting so write -> parse -> write is byte-identical."""
     fh.write(CSV_HEADER + "\n")
     # a held command, and a steer that has reached it, repeat row after row:
-    # format them again only when the value changes. Equal nonzero floats
-    # print alike; 0.0 and -0.0 do not, and NaN equals nothing
+    # format them again only when the value changes, and reuse the text of an
+    # equal float already formatted in the row (e_I_measured equals e_I_exact
+    # on a straight, delta_actual a command it has reached). Equal nonzero
+    # floats print alike; 0.0 and -0.0 do not, and NaN equals nothing
     last_cmd = last_actual = last_theta = None
     for (t, s, y, theta_tilde, e_exact, e_measured, d_cmd, d_actual, theta_d, segment,
          fault) in _rows(log):
+        exact_text = repr(e_exact)
+        measured_text = (exact_text if e_measured == e_exact and e_exact
+                         else repr(e_measured))
         if d_cmd != last_cmd or not d_cmd:
             last_cmd, cmd_text = d_cmd, repr(d_cmd)
         if d_actual != last_actual or not d_actual:
-            last_actual, actual_text = d_actual, repr(d_actual)
+            last_actual, actual_text = d_actual, (cmd_text if d_actual == d_cmd and d_cmd
+                                                  else repr(d_actual))
         if theta_d != last_theta or not theta_d:
             last_theta, theta_text = theta_d, repr(theta_d)
         fh.write(",".join([
             repr(t), repr(s), repr(y), repr(theta_tilde),
-            repr(e_exact), repr(e_measured),
+            exact_text, measured_text,
             cmd_text, actual_text, theta_text,
             segment, "1" if fault else "0",
         ]) + "\n")

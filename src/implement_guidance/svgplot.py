@@ -9,13 +9,46 @@ from __future__ import annotations
 
 import html
 import math
+from array import array
+from bisect import bisect_left
+from itertools import islice, pairwise
+from operator import le
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+# the width in pixels of comparison_figure's error panels, which m4 bins for
+ERROR_PANEL_WIDTH = 430
 
 
 def escape(text: str) -> str:
     """Escape &, < and > for XML text; quotes are left as they are."""
     return html.escape(text, quote=False)
+
+
+def m4(xs, ys) -> tuple[array, array]:
+    """The M4 points of the line series (xs, ys) (Jugel et al., "M4: A
+    Visualization-Oriented Time Series Data Aggregation", PVLDB 2014), for an
+    error panel W = ERROR_PANEL_WIDTH pixel columns wide over [0, x_max],
+    x_max the series' last x: in each column its first and last point and a
+    lowest-y and a highest-y point, in series order and without repeats. In
+    a panel over [0, x_max], a line through them covers the pixels that the
+    whole series does; in a wider panel each column is narrower than a pixel.
+    The points have the series' x and y ranges.
+
+    Column c holds the points with x_max c / W <= x < x_max (c + 1) / W;
+    a point below 0 is in the first column, so a series that ends below 0
+    is one column. A series whose x ever falls is returned whole.
+    """
+    if not xs or not all(map(le, xs, islice(xs, 1, None))):
+        return array("d", xs), array("d", ys)
+    x_max = xs[-1]
+    bounds = [0, *(bisect_left(xs, x_max * c / ERROR_PANEL_WIDTH)
+                   for c in range(1, ERROR_PANEL_WIDTH)), len(xs)]
+    keep = []
+    for a, b in pairwise(bounds):
+        if a < b:
+            keep += sorted({a, b - 1, min(range(a, b), key=ys.__getitem__),
+                            max(range(a, b), key=ys.__getitem__)})
+    return array("d", map(xs.__getitem__, keep)), array("d", map(ys.__getitem__, keep))
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -151,7 +184,8 @@ def comparison_figure(per_placement: dict[str, dict], junctions: tuple[float, ..
         evals = [v for r in runs.values() for v in r["e"]]
         lo, hi = min(evals), max(evals)
         pad = 0.05 * (hi - lo or 1.0)
-        panel = Panel(70, 50 + row * 310, 430, 240, (0, smax), (lo - pad, hi + pad),
+        panel = Panel(70, 50 + row * 310, ERROR_PANEL_WIDTH, 240, (0, smax),
+                      (lo - pad, hi + pad),
                       xlabel="s [m]", ylabel="e_I [m]", title=f"implement {placement}")
         for i, (method, r) in enumerate(runs.items()):
             color = PALETTE[i % len(PALETTE)]

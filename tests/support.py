@@ -2,10 +2,12 @@
 
 import math
 import random
+from bisect import bisect_left
+from itertools import compress, groupby
 
 import numpy as np
 
-from implement_guidance.harness import RunLog
+from implement_guidance.harness import SKIP_S, RunLog, _median, _quantile
 from implement_guidance.paths import FrenetState, Projection, _project_segment, wrap_angle
 
 
@@ -23,6 +25,41 @@ def log_of(rows):
         log.segments.append(row[9])
         log.faults.append(row[10])
     return log
+
+
+def reference_summarize(log, junctions=(), window=3.0):
+    """`harness.summarize` as it was before it boxed |e_I| once, kept as the
+    reference: a sorted copy per segment and of the sample, and windows cut
+    from the records sorted by s."""
+    s = log.column("s")
+    e = list(map(abs, log.column("e_I_exact")))
+    start = s[0] + SKIP_S
+    sample = sorted(list(compress(e, [x >= start for x in s])) or e)
+    per_segment = {}
+    i = 0
+    for label, run in groupby(log.segments):  # one run per segment visit
+        j = i + len(list(run))
+        per_segment.setdefault(label, []).extend(e[i:j])
+        i = j
+    overshoot = {}
+    if junctions:
+        order = sorted(range(len(s)), key=s.__getitem__)
+        by_s = [s[k] for k in order]
+        for sj in junctions:
+            lo = bisect_left(by_s, True, key=lambda x: x - sj >= -window)
+            hi = bisect_left(by_s, True, key=lambda x: x - sj > window)
+            if lo < hi:
+                overshoot[f"{sj:.6g}"] = max([e[k] for k in order[lo:hi]])
+    return {
+        "median_abs_e_m": _quantile(sample, 0.5),
+        "q25_m": _quantile(sample, 0.25),
+        "q75_m": _quantile(sample, 0.75),
+        "max_abs_e_m": sample[-1],
+        "per_segment_median_m": {k: _median(sorted(v)) for k, v in per_segment.items()},
+        "junction_overshoot_m": overshoot,
+        "fault_count": sum(log.faults),
+        "n_samples": len(sample),
+    }
 
 
 def same_log(a, b):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -225,6 +226,33 @@ def test_batches_drop_each_log_before_the_next_run(tmp_path, monkeypatch, comman
     assert live == [0] * runs
 
 
+def _traced_peak(out, argv):
+    """The tracemalloc peak in bytes of main(argv), after a short noisy sweep
+    has filled the caches that every later call shares."""
+    assert main(["--out-dir", str(out), "--noise", "on", "sweep", "--horizons", "0.5"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_peak_is_one_runs_log_and_figure4_keeps_its_m4_points(tmp_path):
+    # each run's series is reduced to its M4 points as the run ends: the
+    # peak was 2.16 MB and figure4.svg 399 KB, with every record drawn
+    argv = ["--out-dir", str(tmp_path / "o"), "--noise", "on", "--seed", "3", "compare"]
+    assert _traced_peak(tmp_path / "warm", argv) <= 1_000_000
+    assert (tmp_path / "o" / "figure4.svg").stat().st_size <= 100_000
+
+
+def test_sweep_peak_is_one_runs_log(tmp_path):
+    # one run's log (~85 B per record) and its summary (<= 48 B per record);
+    # it was 1.49 MB when the summary cost 130 B per record
+    argv = ["--out-dir", str(tmp_path / "o"), "--noise", "on", "--seed", "3", "sweep"]
+    assert _traced_peak(tmp_path / "warm", argv) <= 1_000_000
+
+
 def test_sweep_bad_horizons(tmp_path, capsys):
     for bad in ("abc", "", ","):
         assert main(["--out-dir", str(tmp_path / "x"), "sweep", "--horizons", bad]) == 2
@@ -298,6 +326,20 @@ def test_bad_value_exits_2_with_line(tmp_path, capsys, body, line):
         # a rejected text is echoed cut to its first ECHO_CHARS characters:
         # whole, the 5,000-digit seed makes a 5,050-character message
         assert len(err) < 500
+
+
+def test_horizon_whose_sigma2_underflows_exits_2_in_validate_and_run(tmp_path, capsys):
+    # n_h = 1 and (1e-300 m)^2 = 0.0: validate accepted it, and run made its
+    # output directory, then exited 2 at its first control step with an
+    # unlocated "error: sigma2 must be > 0 (empty horizon)"
+    p = tmp_path / "tiny.scn"
+    p.write_text("format_version 1\n[path]\npreset exp1\n[controller]\n"
+                 "s_h_m 1e-300\ns_t_m 1e-300\n")
+    out = tmp_path / "o"
+    for command in (["validate", str(p)], ["--out-dir", str(out), "run", str(p)]):
+        assert main(command) == 2
+        assert capsys.readouterr().err.startswith("scenario error: line 6: key 's_t_m': ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", "1.7", "x",

@@ -99,6 +99,20 @@ def test_optimal_params_cap_the_horizon_samples():
     assert exc.value.fields == ("s_h", "s_t")
 
 
+def test_optimal_params_reject_a_horizon_whose_sigma2_underflows():
+    # n_h = 1 and (1e-300)^2 = 0.0: sigma2 = 0 made xi_optimal raise at the
+    # first control step, after the parameters had been accepted
+    with pytest.raises(ParameterError, match=r"^s_t = 1e-300 m is too small: sigma2") as exc:
+        OptimalParams(lam=0.1, k_theta=0.6, s_h=1e-300, s_t=1e-300)
+    assert exc.value.fields == ("s_t", "s_h")
+    with pytest.raises(ParameterError, match="sigma2"):  # n_h = 2: (2e-200)^2 = 0.0 too
+        OptimalParams(lam=0.1, k_theta=0.6, s_h=2e-200, s_t=1e-200)
+    # (2e-162)^2 rounds up to the least subnormal, 5e-324; (1e-162)^2 to 0.0
+    assert sigma_terms(OptimalParams(lam=0.1, k_theta=0.6, s_h=2e-162, s_t=2e-162)).sigma2 > 0.0
+    with pytest.raises(ParameterError, match="sigma2"):
+        OptimalParams(lam=0.1, k_theta=0.6, s_h=1e-162, s_t=1e-162)
+
+
 def test_optimal_params_store_n_h_outside_init_compare_and_repr():
     # n_h is computed once, when the parameters are built, not per control step
     params = OptimalParams(lam=0.1, k_theta=0.6, s_h=2.0, s_t=0.15)

@@ -19,6 +19,7 @@ from implement_guidance.harness import (
     CSV_HEADER,
     MAX_PLANT_STEPS,
     NoiseSpec,
+    WINDOW_PAD,
     RunLog,
     Scenario,
     _rows,
@@ -35,7 +36,7 @@ from implement_guidance.paths import ReferencePath, build_experiment_path, build
 from implement_guidance.presets import REAR_IMPLEMENT, TABLE1, TABLE2
 from implement_guidance.vehicle import ImplementConfig, VehicleConfig
 
-from support import column, full_scan_project, log_of, same_log
+from support import column, full_scan_project, log_of, reference_summarize, same_log
 
 CFG = VehicleConfig()
 
@@ -611,6 +612,60 @@ def test_summarize_equals_numpy_reference_on_a_run():
                                 window=scn.params.s_h + 3.0)
 
 
+@st.composite
+def _summary_logs(draw):
+    """Logs whose s rises, falls or is drawn in any order, or stays within
+    SKIP_S of its first record; whose |e_I| holds NaN, infinities and signed
+    zeros; whose records lie on a quarter-metre grid, so that windows end
+    exactly on them; and whose segments are one label or drawn per record,
+    so that a label is visited again (L1, C1, L1)."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["rising", "falling", "drawn", "within_skip"]))
+    if kind == "within_skip":
+        s0 = draw(_GRID)
+        abscissae = sorted(s0 + k / 4 for k in draw(
+            st.lists(st.integers(0, 19), min_size=n, max_size=n)))
+    else:
+        abscissae = draw(st.lists(_ABSCISSA, min_size=n, max_size=n))
+        if kind != "drawn":
+            abscissae.sort(reverse=kind == "falling")
+    errors = draw(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 0.25, -0.25, math.nan, math.inf, -math.inf]),
+        st.floats(-3.0, 3.0)), min_size=n, max_size=n))
+    segments = draw(st.one_of(
+        st.sampled_from(["L1", "C1"]).map(lambda label: [label] * n),
+        st.lists(st.sampled_from(["L1", "C1", "L2"]), min_size=n, max_size=n)))
+    faults = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return log_of((0.01 * i, si, 0.0, 0.0, ei, 0.0, 0.0, 0.0, 0.0, segment, fault)
+                  for i, (si, ei, segment, fault)
+                  in enumerate(zip(abscissae, errors, segments, faults)))
+
+
+def _summary_log(abscissae, errors, segments):
+    return log_of((0.01 * i, si, 0.0, 0.0, ei, 0.0, 0.0, 0.0, 0.0, segment, False)
+                  for i, (si, ei, segment) in enumerate(zip(abscissae, errors, segments)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=_summary_logs(),
+       junctions=st.lists(st.one_of(_GRID, _ABSCISSA, st.just(1e3)), max_size=5).map(tuple),
+       window=st.one_of(_LENGTH, st.floats(0.0, 20.0)))
+@example(log=_summary_log([2.0], [-0.0], ["L1"]), junctions=(2.0,), window=0.0)
+@example(log=_summary_log([0.0, 1.0, 3.0, 5.0, 7.0, 8.0], [1.0, -2.0, 0.5, math.nan, -0.25, 3.0],
+                          ["L1"] * 6),
+         junctions=(5.0,), window=2.0)  # s - sj == -window and +window
+@example(log=_summary_log([0.0, 2.0, 4.0, 6.0, 8.0, 10.0], [0.5, -0.0, 0.25, 2.0, -1.0, 0.75],
+                          ["L1", "L1", "C1", "C1", "L1", "L1"]),
+         junctions=(4.0, 8.0), window=1.0)
+@example(log=_summary_log([9.0, 7.0, 6.0, 1.0], [0.5, math.nan, -0.0, 0.25], ["L1"] * 4),
+         junctions=(6.0,), window=1.0)
+def test_summarize_equals_the_reference(log, junctions, window):
+    # the dicts match float for float (float.hex tells -0.0 from 0.0 and
+    # gives every NaN one text) and key for key, in order
+    got = summarize(log, junctions=junctions, window=window)
+    assert _exact(got) == _exact(reference_summarize(log, junctions=junctions, window=window))
+
+
 def test_summarize_empty_log_rejected():
     with pytest.raises(ParameterError):
         summarize(RunLog())
@@ -689,6 +744,60 @@ def test_run_log_costs_at_most_96_bytes_per_record():
     assert held / len(log.segments) <= 96
 
 
+def _line_100hz_scenario():
+    """A 100 m line, the optimal controller at the plant rate (control period
+    = dt = 0.01 s) with n_h = 70, noise on: ~9,900 records, one segment."""
+    return straight_scenario(path=build_path([{"kind": "line", "length_m": 100.0}]),
+                             params=replace(TABLE2[6], s_t=0.05), run_length=99.0,
+                             control_period=0.01, seed=11, noise=NoiseSpec(enabled=True))
+
+
+def _field_rows_scenario():
+    """One row and headland turn of a serpentine field of 30 rows joined by
+    180-degree arcs (59 segments, 58 junctions): ~3,900 records."""
+    row, radius = 30.0, 3.0
+    descriptors = []
+    for i in range(30):
+        descriptors.append({"kind": "line", "length_m": row})
+        if i < 29:
+            descriptors.append({"kind": "arc", "length_m": math.pi * radius,
+                                "curvature_per_m": (1.0 if i % 2 == 0 else -1.0) / radius})
+    lap = row + math.pi * radius
+    return straight_scenario(path=build_path(descriptors), initial_s=12 * lap,
+                             run_length=13 * lap)
+
+
+def _exp2_sweep_scenario():
+    """The s_h = 2 m row of the horizon sweep on the five-segment path, noise
+    on: ~6,800 records, 5 junctions."""
+    path = build_experiment_path("exp2")
+    return straight_scenario(path=path, params=TABLE2[3],
+                             run_length=math.floor(path.total_length - 1.0),
+                             noise=NoiseSpec(enabled=True))
+
+
+@pytest.mark.parametrize("make_scenario", [_line_100hz_scenario, _field_rows_scenario,
+                                           _exp2_sweep_scenario],
+                         ids=["line_100hz", "field_rows", "exp2_sweep_sh_2"])
+def test_summarize_costs_at_most_48_bytes_per_record(make_scenario):
+    # 8 B of s, 32 B for one boxed |e_I| that every list shares, and 8 B for
+    # one segment's list or the sample's; it was 68-132 B with a sorted copy
+    # per list and the junction windows cut from the records sorted by s
+    scn = make_scenario()
+    log = run_scenario(scn)
+    junctions, window = scn.path.junctions(), scn.params.s_h + WINDOW_PAD
+    assert len(log.segments) > 3500
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summary = summarize(log, junctions, window)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert summary == reference_summarize(log, junctions, window)
+    assert peak / len(log.segments) <= 48
+
+
 def test_log_counts_plant_steps_and_holds_the_records_of_its_csv(monkeypatch):
     scn = straight_scenario(path=build_experiment_path("exp1"), run_length=45.0, seed=7,
                             noise=NoiseSpec(enabled=True))
@@ -747,6 +856,21 @@ def test_csv_formats_delta_actual_by_value_and_sign():
     rows = [row.split(",") for row in _csv(log).splitlines()[1:]]
     for k, want in zip((6, 7, 8), columns):  # delta_cmd, delta_actual, theta_d
         assert [row[k] for row in rows] == list(map(repr, want))
+
+
+def test_csv_reuses_the_text_of_an_equal_float_of_the_row_by_value_and_sign():
+    # e_I_measured reuses e_I_exact's text, and delta_actual delta_cmd's,
+    # only when the two are equal and nonzero: 0.0 == -0.0, but they print
+    # apart, and NaN equals nothing
+    pairs = [(0.1, 0.1), (0.1, 0.1), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0),
+             (0.2, 0.1), (0.1, 0.1), (math.nan, math.nan), (0.1, math.nan), (math.nan, 0.1),
+             (-0.1, -0.1), (-0.1, 0.1), (5e-324, 5e-324), (-0.0, -0.0)]
+    shifted = pairs[5:] + pairs[:5]  # a held delta_actual meets other commands
+    log = log_of((0.0, 1.0, 0.0, 0.0, e_exact, e_measured, d_cmd, d_actual, 0.0, "L1", False)
+                 for (e_exact, e_measured), (d_cmd, d_actual) in zip(pairs, shifted))
+    rows = [row.split(",") for row in _csv(log).splitlines()[1:]]
+    assert [(row[4], row[5]) for row in rows] == [(repr(a), repr(b)) for a, b in pairs]
+    assert [(row[6], row[7]) for row in rows] == [(repr(a), repr(b)) for a, b in shifted]
 
 
 def test_csv_round_trip_of_a_faulted_run(monkeypatch):

@@ -1,14 +1,19 @@
+import math
 import xml.dom.minidom
+from array import array
+from bisect import bisect_right
 from xml.sax.saxutils import escape as saxutils_escape
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from implement_guidance.svgplot import (
+    ERROR_PANEL_WIDTH,
     _nice_ticks,
     comparison_figure,
     escape,
+    m4,
     sweep_figure,
 )
 
@@ -84,3 +89,95 @@ def test_sweep_figure():
     # double hyphens are illegal inside XML comments and must be escaped
     assert "--horizons" not in svg
     assert "- -horizons" in svg
+
+
+# ----------------------------------------------------------------------- M4
+
+def _columns(xs):
+    """The pixel column of each x of a rising series: c holds
+    x_max c / W <= x < x_max (c + 1) / W, x_max = max(xs[-1], 0), and the
+    first column everything below 0."""
+    x_max = max(xs[-1], 0.0)
+    edges = [x_max * c / ERROR_PANEL_WIDTH for c in range(1, ERROR_PANEL_WIDTH)]
+    return [bisect_right(edges, x) for x in xs]
+
+
+def _kept_indices(xs, ys, kept_x, kept_y):
+    """The indices of the kept points in a series of distinct points, matched
+    in order; fails unless the kept points are a subsequence of the series."""
+    indices = []
+    i = 0
+    for point in zip(kept_x, kept_y):
+        while (xs[i], ys[i]) != point:
+            i += 1  # IndexError: not a subsequence
+        indices.append(i)
+        i += 1
+    return indices
+
+
+def _check_m4(xs, ys):
+    """m4 of a rising series of distinct points keeps, in each column, at most
+    4 points, among them its first, last, lowest and highest, in order."""
+    kept_x, kept_y = m4(xs, ys)
+    kept = _kept_indices(xs, ys, kept_x, kept_y)
+    columns = _columns(xs)
+    for c in set(columns):
+        members = [k for k in range(len(xs)) if columns[k] == c]
+        ours = [k for k in kept if columns[k] == c]
+        assert len(ours) <= 4
+        assert members[0] in ours and members[-1] in ours
+        assert min(ys[k] for k in ours) == min(ys[k] for k in members)
+        assert max(ys[k] for k in ours) == max(ys[k] for k in members)
+    # the error panel's ranges: (0, max s) and (min e, max e)
+    assert (max(kept_x), min(kept_y), max(kept_y)) == (max(xs), min(ys), max(ys))
+
+
+# a coarse grid puts many points in one column, and a far last point (x_max
+# up to 1e6) squeezes the rest into the first few columns or a single one
+_X = st.floats(-5.0, 60.0) | st.integers(-4, 40).map(lambda k: k / 4)
+_SERIES = st.tuples(st.lists(_X, min_size=1, max_size=300),
+                    st.none() | st.floats(60.0, 1e6)).map(
+    lambda t: sorted(t[0]) + ([t[1]] if t[1] is not None else []))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=_SERIES, data=st.data())
+def test_m4_keeps_each_columns_first_last_lowest_and_highest_point(xs, data):
+    # distinct y values make each kept point name its index
+    ys = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(xs), max_size=len(xs),
+                            unique=True))
+    _check_m4(xs, ys)
+
+
+@given(xs=_SERIES)
+@example(xs=[3.0])  # one point
+@example(xs=[2.0] * 50)  # a single column, the last
+@example(xs=[0.0] * 50)  # x_max = 0: a single column
+@example(xs=[-3.0, -2.0, -1.0])  # x_max clamped to 0: a single column, the first
+@example(xs=[float(k) for k in range(50)] + [1e6])  # the first column and the last
+def test_m4_of_a_constant_series_keeps_each_columns_first_and_last_point(xs):
+    kept_x, kept_y = m4(xs, [0.5] * len(xs))
+    assert set(kept_y) == {0.5}
+    columns = _columns(xs)
+    kept_columns = _columns(kept_x)
+    for c in set(columns):
+        members = [x for x, col in zip(xs, columns) if col == c]
+        assert [x for x, col in zip(kept_x, kept_columns) if col == c] == (
+            members[:1] + members[-1:] if len(members) > 1 else members)
+
+
+def test_m4_of_a_series_whose_x_falls_keeps_it_whole():
+    xs, ys = [0.0, 2.0, 1.0, 3.0], [0.1, -0.2, 0.3, 0.0]
+    assert m4(xs, ys) == (array("d", xs), array("d", ys))
+    nan_x = [0.0, math.nan, 2.0]
+    assert list(m4(nan_x, ys[:3])[1]) == ys[:3]
+    assert m4([], []) == (array("d"), array("d"))
+
+
+def test_m4_of_a_dense_run_keeps_at_most_four_points_per_pixel_column():
+    # ~11 records per column, as in compare's runs
+    n = 11 * ERROR_PANEL_WIDTH
+    xs = [55.0 * k / (n - 1) for k in range(n)]
+    ys = [math.sin(0.37 * k) * math.exp(-0.001 * k) for k in range(n)]
+    _check_m4(xs, ys)
+    assert len(m4(xs, ys)[0]) <= 4 * ERROR_PANEL_WIDTH
